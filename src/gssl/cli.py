@@ -4,7 +4,7 @@ Consumers are scripts and CI: every subcommand reads flags or a JSON
 experiment spec, writes machine-readable outputs (per-run JSON, CSV
 tables, embedding CSV), and prints a compact summary.  Results are a pure
 function of (spec, dataset files, seeds): rerunning a spec reproduces the
-table byte for byte.
+table byte for byte, and ``results.csv`` is ``aggregate_runs(runs/)``.
 
 Subcommands: run, propagate, export-embeddings, validate-dataset,
 make-splits.  The ``GSSL_DATA_DIR`` environment variable provides the
@@ -14,22 +14,24 @@ default directory against which relative dataset paths are resolved.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import (LabeledDataset, Split, load_dataset, make_splits,
-                   row_normalize_features, save_splits)
+from .data import LabeledDataset, load_dataset, make_splits, row_normalize_features, save_splits
 from .diffusion import DiffusionConfig, label_matrix, propagate_labels
 from .errors import GsslError, InputError
 from .losses import LossConfig
-from .models import KINDS, Model, ModelConfig, hidden_embedding, load_checkpoint, save_checkpoint
+from .models import (KINDS, Model, ModelConfig, hidden_embedding, load_checkpoint,
+                     load_preprocessing, save_checkpoint)
 from .trainer import DataContext, TrainConfig, train
 
 __all__ = [
@@ -66,6 +68,11 @@ def resolve_dataset_dir(path) -> Path:
                      + (f" (also tried under {base})" if base else ""))
 
 
+def _model_label(kind: str, regularized: bool) -> str:
+    """Table name of a model: ``GCN``, or ``R-GCN`` when regularized."""
+    return ("R-" if regularized else "") + kind.upper()
+
+
 @dataclass
 class ModelSpec:
     kind: str
@@ -77,7 +84,7 @@ class ModelSpec:
 
     @property
     def label(self) -> str:
-        return ("R-" if self.regularized else "") + self.kind.upper()
+        return _model_label(self.kind, self.regularized)
 
 
 @dataclass
@@ -137,7 +144,7 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        return ("R-" if self.regularized else "") + self.model.upper()
+        return _model_label(self.model, self.regularized)
 
     def sort_key(self):
         return (self.dataset, self.model, self.regularized, self.ell, self.n_layers)
@@ -176,67 +183,73 @@ class ResultsTable:
         raise KeyError((model, regularized, ell, n_layers))
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+def _spec_hash(spec: ExperimentSpec) -> str:
+    """Hash of the spec fields that determine results, stamped on every run
+    record: all but where the outputs go and how many processes run."""
+    fields = {k: v for k, v in asdict(spec).items()
+              if k not in ("output_dir", "workers", "save_checkpoints")}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _run_one(ctx: DataContext, spec: ExperimentSpec, mspec: ModelSpec, ell: int,
-             n_layers: int, mu: float, split: Split) -> tuple[dict, Model]:
-    model_cfg = ModelConfig(
-        kind=mspec.kind, n_layers=n_layers, hidden_dim=spec.hidden_dim,
-        dropout=spec.dropout, appnp_alpha=spec.appnp_alpha, appnp_k=spec.appnp_k,
-    )
-    loss_cfg = LossConfig(mu=mu if mspec.regularized else 0.0,
-                          variant=spec.loss_variant,
-                          include_self_loops=spec.include_self_loops)
-    train_cfg = TrainConfig(lr=spec.lr, weight_decay=spec.weight_decay,
-                            max_epochs=spec.max_epochs, patience=spec.patience,
-                            loss=loss_cfg, seed=split.seed)
-    model = Model.init(model_cfg, ctx.x.shape[1], ctx.n_classes, seed=split.seed)
-    report = train(model, ctx, split, train_cfg)
-    record = {
-        "model": mspec.label,
-        "kind": mspec.kind,
-        "regularized": mspec.regularized,
-        "dataset": Path(spec.dataset).name,
-        "seed": split.seed,
-        "ell": ell,
-        "n_layers": n_layers,
-        "mu": mu if mspec.regularized else 0.0,
-        "best_epoch": report.best_epoch,
-        "epochs_run": report.epochs_run,
-        "test_acc": report.test_acc,
-        "val_acc_best": report.history[report.best_epoch - 1][2],
-        "history": [list(h) for h in report.history],
-    }
-    return record, model
+def _load_context(dataset, normalize_features: bool) -> tuple[LabeledDataset, DataContext]:
+    ds = load_dataset(resolve_dataset_dir(dataset))
+    if normalize_features:
+        ds = row_normalize_features(ds)
+    return ds, DataContext.from_dataset(ds)
+
+
+def _model_config(spec: ExperimentSpec, kind: str, n_layers: int) -> ModelConfig:
+    return ModelConfig(kind=kind, n_layers=n_layers, hidden_dim=spec.hidden_dim,
+                       dropout=spec.dropout, appnp_alpha=spec.appnp_alpha,
+                       appnp_k=spec.appnp_k)
+
+
+def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict, list | None]:
+    """Train one (model, ell, n_layers, mu, split) task: its run record, and
+    its parameter arrays for the ``base_seed`` split if ``save_checkpoints``.
+
+    A run that raises gives a record whose status names the error.
+    """
+    mspec, ell, n_layers, mu, split = task
+    record = {"model": mspec.label, "kind": mspec.kind, "regularized": mspec.regularized,
+              "dataset": Path(spec.dataset).name, "seed": split.seed, "ell": ell,
+              "n_layers": n_layers, "mu": mu}
+    try:
+        model = Model.init(_model_config(spec, mspec.kind, n_layers), ctx.x.shape[1],
+                           ctx.n_classes, seed=split.seed)
+        loss_cfg = LossConfig(mu=mu, variant=spec.loss_variant,
+                              include_self_loops=spec.include_self_loops)
+        report = train(model, ctx, split, TrainConfig(
+            lr=spec.lr, weight_decay=spec.weight_decay, max_epochs=spec.max_epochs,
+            patience=spec.patience, loss=loss_cfg, seed=split.seed))
+    except Exception as err:  # cell isolation: the error is recorded, not raised
+        record["status"] = f"failed: {type(err).__name__}: {err}"
+        return record, None
+    record.update(report.to_dict(), status="ok",
+                  val_acc_best=report.history[report.best_epoch - 1][2])
+    keep = spec.save_checkpoints and split.seed == spec.base_seed
+    return record, model.state_values() if keep else None
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(spec_dict: dict):
-    spec = ExperimentSpec(models=[ModelSpec(**m) for m in spec_dict.pop("models")], **spec_dict)
-    _POOL_STATE["spec"] = spec
-    _POOL_STATE["ctx"] = _load_dataset_and_context(spec)[1]
+def _pool_init(spec: ExperimentSpec, ctx: DataContext):
+    _POOL_STATE["run"] = partial(_run_task, spec, ctx)
 
 
-def _pool_run(task: dict) -> dict:
-    spec: ExperimentSpec = _POOL_STATE["spec"]
-    record, _ = _run_one(_POOL_STATE["ctx"], spec, ModelSpec(**task["model"]),
-                         task["ell"], task["n_layers"], task["mu"],
-                         Split.from_dict(task["split"]))
-    return record
+def _pool_run(task: tuple) -> tuple[dict, list | None]:
+    return _POOL_STATE["run"](task)
 
 
-def _load_dataset_and_context(spec: ExperimentSpec) -> tuple[LabeledDataset, DataContext]:
-    ds = load_dataset(resolve_dataset_dir(spec.dataset))
-    if spec.normalize_features:
-        ds = row_normalize_features(ds)
-    return ds, DataContext.from_dataset(ds)
+def _execute(spec: ExperimentSpec, ctx: DataContext, tasks: list[tuple]):
+    """Yield ``_run_task``'s result for each task, in task order."""
+    if spec.workers <= 1:
+        yield from map(partial(_run_task, spec, ctx), tasks)
+        return
+    with ProcessPoolExecutor(spec.workers, initializer=_pool_init,
+                             initargs=(spec, ctx)) as pool:
+        yield from pool.map(_pool_run, tasks)
 
 
 def _select_mu(by_mu: dict[float, list[dict]]) -> float:
@@ -249,111 +262,95 @@ def _select_mu(by_mu: dict[float, list[dict]]) -> float:
     return best_mu
 
 
+def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]:
+    """The run records in ``runs_dir`` by path; InputError unless they all
+    carry one spec hash (``spec_hash``, when given)."""
+    records = {p: json.loads(p.read_text(encoding="utf-8")) for p in sorted(runs_dir.glob("*.json"))}
+    hashes = {r.get("spec_hash") for r in records.values()}
+    if spec_hash is not None:
+        hashes.add(spec_hash)
+    if len(hashes) > 1:
+        raise InputError(f"{runs_dir} holds run records of more than one spec (spec_hash "
+                         f"{', '.join(sorted(map(str, hashes)))}); use one output_dir per spec")
+    return records
+
+
+def aggregate_runs(runs_dir) -> ResultsTable:
+    """Regenerate the results table from per-run JSON records alone.
+
+    Runs group into cells; a cell reports its selected mu, or, when any
+    of its runs failed, the status of its first failure in (mu, seed) order.
+    """
+    cells: dict[tuple, list[dict]] = {}
+    records = _read_runs(Path(runs_dir)).values()
+    for r in sorted(records, key=lambda r: (r["mu"], r["seed"])):
+        key = (r["dataset"], r["kind"], r["regularized"], r["ell"], r["n_layers"])
+        cells.setdefault(key, []).append(r)
+    rows = []
+    for key, runs in cells.items():
+        failed = [r["status"] for r in runs if r.get("status", "ok") != "ok"]
+        if failed:
+            rows.append(CellResult(*key, 0.0, 0, math.nan, math.nan, status=failed[0]))
+            continue
+        by_mu: dict[float, list[dict]] = {}
+        for r in runs:
+            by_mu.setdefault(float(r["mu"]), []).append(r)
+        mu = _select_mu(by_mu)
+        accs = np.array([r["test_acc"] for r in by_mu[mu]]) * 100.0
+        std = float(accs.std(ddof=1)) if accs.size > 1 else 0.0
+        rows.append(CellResult(*key, mu, accs.size, float(accs.mean()), std))
+    return ResultsTable(rows)
+
+
 def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
     """Run every (model, ell, n_layers) cell over n_splits splits.
 
     Regularized cells run the whole mu grid and report the grid value
-    with the best mean validation accuracy.  Per-run JSON records are
-    written under ``<output_dir>/runs`` and are sufficient to regenerate
-    the table exactly (see :func:`aggregate_runs`).  A run that raises
-    marks its cell failed and the remaining cells proceed.
+    with the best mean validation accuracy.  Per-run JSON records,
+    stamped with the spec hash, go under ``<output_dir>/runs`` and the
+    table is :func:`aggregate_runs` of them.  A run that raises marks its
+    cell failed and the remaining cells proceed.  An ``output_dir``
+    belongs to one spec: records of another raise InputError before
+    anything trains, and a rerun replaces its own.
     """
     out_dir = Path(spec.output_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    ds, ctx = _load_dataset_and_context(spec)
-    ds_name = ds.name
-    splits_by_ell = {
-        ell: make_splits(ds, ell, spec.n_splits, spec.base_seed,
-                         val_size=spec.val_size, test_size=spec.test_size)
-        for ell in spec.ell
-    }
-    pool = None
-    if spec.workers > 1:
-        if spec.save_checkpoints:
-            raise InputError("save_checkpoints needs workers=1")
-        spec_dict = json.loads(json.dumps(_spec_to_dict(spec)))
-        pool = ProcessPoolExecutor(max_workers=spec.workers,
-                                   initializer=_pool_init, initargs=(spec_dict,))
-    rows: list[CellResult] = []
-    checkpoints: dict[tuple, Model] = {}
-    try:
-        for mspec in spec.models:
-            for ell in spec.ell:
-                for n_layers in spec.layer_counts:
-                    mu_candidates = list(spec.mu_grid) if mspec.regularized else [0.0]
-                    try:
-                        by_mu: dict[float, list[dict]] = {}
-                        for mu in mu_candidates:
-                            records = []
-                            if pool is not None:
-                                tasks = [
-                                    {"model": {"kind": mspec.kind, "regularized": mspec.regularized},
-                                     "ell": ell, "n_layers": n_layers, "mu": mu,
-                                     "split": split.to_dict()}
-                                    for split in splits_by_ell[ell]
-                                ]
-                                records = list(pool.map(_pool_run, tasks))
-                            else:
-                                for split in splits_by_ell[ell]:
-                                    record, model = _run_one(ctx, spec, mspec, ell,
-                                                             n_layers, mu, split)
-                                    records.append(record)
-                                    if split.seed == spec.base_seed:
-                                        checkpoints[(mspec.label, ell, n_layers, mu)] = model
-                            for record in records:
-                                name = (f"{record['model']}_ell{ell}_L{n_layers}"
-                                        f"_mu{record['mu']:g}_seed{record['seed']}.json")
-                                with open(runs_dir / name, "w", encoding="utf-8") as fh:
-                                    json.dump(record, fh)
-                            by_mu[mu] = records
-                        mu = _select_mu(by_mu)
-                        accs = [r["test_acc"] * 100.0 for r in by_mu[mu]]
-                        mean, std = _mean_std(accs)
-                        rows.append(CellResult(ds_name, mspec.kind, mspec.regularized,
-                                               ell, n_layers, mu, len(accs), mean, std))
-                        if spec.save_checkpoints and (mspec.label, ell, n_layers, mu) in checkpoints:
-                            ckpt = out_dir / f"{mspec.label}_ell{ell}_L{n_layers}.npz"
-                            save_checkpoint(checkpoints[(mspec.label, ell, n_layers, mu)], ckpt)
-                        log(f"{mspec.label} ell={ell} L={n_layers}: "
-                            f"{mean:.1f} +- {std:.1f} (mu={mu:g})")
-                    except Exception as err:  # cell isolation: others proceed
-                        rows.append(CellResult(ds_name, mspec.kind, mspec.regularized,
-                                               ell, n_layers, 0.0, 0, float("nan"),
-                                               float("nan"),
-                                               status=f"failed: {type(err).__name__}: {err}"))
-                        log(f"{mspec.label} ell={ell} L={n_layers}: FAILED ({err})")
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    table = ResultsTable(rows)
+    spec_hash = _spec_hash(spec)
+    for path in _read_runs(runs_dir, spec_hash):
+        path.unlink()
+
+    ds, ctx = _load_context(spec.dataset, spec.normalize_features)
+    splits = {ell: make_splits(ds, ell, spec.n_splits, spec.base_seed,
+                               val_size=spec.val_size, test_size=spec.test_size)
+              for ell in spec.ell}
+    tasks = [(mspec, ell, n_layers, mu, split)
+             for mspec in spec.models for ell in spec.ell for n_layers in spec.layer_counts
+             for mu in (spec.mu_grid if mspec.regularized else [0.0]) for split in splits[ell]]
+
+    params_by_run = {}
+    for record, params in _execute(spec, ctx, tasks):
+        record["spec_hash"] = spec_hash
+        run = (record["model"], record["ell"], record["n_layers"], record["mu"])
+        stem = "{}_ell{}_L{}_mu{:g}".format(*run) + f"_seed{record['seed']}"
+        (runs_dir / f"{stem}.json").write_text(json.dumps(record), encoding="utf-8")
+        status = record["status"]
+        log(f"{stem}: " + (f"test {record['test_acc'] * 100.0:.1f}" if status == "ok" else status))
+        if params is not None:
+            params_by_run[run] = params
+
+    table = aggregate_runs(runs_dir)
+    for row in table.rows:
+        run = (row.label, row.ell, row.n_layers, row.mu)
+        if row.status == "ok" and run in params_by_run:
+            model = Model.init(_model_config(spec, row.model, row.n_layers),
+                               ctx.x.shape[1], ctx.n_classes, seed=0)
+            model.load_state_values(params_by_run[run])
+            save_checkpoint(model, out_dir / f"{row.label}_ell{row.ell}_L{row.n_layers}.npz",
+                            preprocessing={"normalize_features": spec.normalize_features})
     (out_dir / "results.csv").write_text(table.to_csv(), encoding="ascii")
     (out_dir / "results.txt").write_text(table.to_text(), encoding="ascii")
     return table
-
-
-def _spec_to_dict(spec: ExperimentSpec) -> dict:
-    d = dict(spec.__dict__)
-    d["models"] = [{"kind": m.kind, "regularized": m.regularized} for m in spec.models]
-    d["workers"] = 1
-    return d
-
-
-def aggregate_runs(runs_dir) -> ResultsTable:
-    """Regenerate the results table from per-run JSON records alone."""
-    groups: dict[tuple, dict[float, list[dict]]] = {}
-    for path in sorted(Path(runs_dir).glob("*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            r = json.load(fh)
-        key = (r["dataset"], r["kind"], r["regularized"], r["ell"], r["n_layers"])
-        groups.setdefault(key, {}).setdefault(float(r["mu"]), []).append(r)
-    rows = []
-    for (ds_name, kind, reg, ell, n_layers), by_mu in groups.items():
-        mu = _select_mu(by_mu)
-        accs = [r["test_acc"] * 100.0 for r in by_mu[mu]]
-        mean, std = _mean_std(accs)
-        rows.append(CellResult(ds_name, kind, reg, ell, n_layers, mu, len(accs), mean, std))
-    return ResultsTable(rows)
 
 
 def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
@@ -364,8 +361,7 @@ def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
     Accuracy is measured on the split's test set when it is non-empty,
     otherwise on all unlabeled nodes.
     """
-    ds = load_dataset(resolve_dataset_dir(dataset))
-    ctx = DataContext.from_dataset(ds)
+    ds, ctx = _load_context(dataset, normalize_features=False)
     split = make_splits(ds, ell, 1, seed, val_size=val_size, test_size=test_size)[0]
     y = label_matrix(ds.labels, split.train, ds.n_classes)
     cfg = DiffusionConfig(gamma=gamma, tol=tol, solver=solver)
@@ -387,8 +383,8 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
     if not ckpt.is_file():
         raise InputError(f"checkpoint {checkpoint!r} not found")
     model = load_checkpoint(ckpt)
-    ds = row_normalize_features(load_dataset(resolve_dataset_dir(dataset)))
-    ctx = DataContext.from_dataset(ds)
+    # Checkpoints that predate recorded preprocessing were trained on normalized features.
+    _, ctx = _load_context(dataset, load_preprocessing(ckpt).get("normalize_features", True))
     emb = hidden_embedding(model, ctx.x, graph=ctx.graph_sl, a_hat=ctx.a_hat).values
     header = "node," + ",".join(f"dim{i}" for i in range(emb.shape[1]))
     with open(out_path, "w", encoding="ascii") as fh:
@@ -406,8 +402,8 @@ def cmd_validate_dataset(directory, log=print) -> bool:
         log(f"INVALID: {err}")
         return False
     problems = []
-    dense = ds.graph.to_dense()
-    if not np.array_equal(dense, dense.T):
+    adj = ds.graph.scipy
+    if (adj != adj.T).nnz:
         problems.append("adjacency not symmetric")
     if not np.all((ds.graph.values == 1.0)):
         problems.append("edge values not binary")

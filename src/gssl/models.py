@@ -10,6 +10,8 @@ self-looped edge structure.
 
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "hidden_embedding",
     "save_checkpoint",
     "load_checkpoint",
+    "load_preprocessing",
 ]
 
 KINDS = ("mlp", "gcn", "gat", "appnp")
@@ -240,27 +243,38 @@ def hidden_embedding(model: Model, x, graph=None, a_hat=None) -> Tensor:
     return hidden
 
 
-def save_checkpoint(model: Model, path) -> None:
-    import json
+def save_checkpoint(model: Model, path, preprocessing: dict | None = None) -> None:
+    """Write the model config, its parameters and, when given, the feature
+    preprocessing it was trained with as an ``.npz`` archive.
 
+    Entries carry a fixed timestamp, so equal parameters give equal bytes.
+    """
     cfg = model.cfg
     meta = {
         "kind": cfg.kind, "n_layers": cfg.n_layers, "hidden_dim": cfg.hidden_dim,
         "dropout": cfg.dropout, "appnp_alpha": cfg.appnp_alpha,
         "appnp_k": cfg.appnp_k, "leaky_slope": cfg.leaky_slope,
     }
-    arrays = {}
+    entries = {"config": _json_bytes(meta)}
+    if preprocessing is not None:
+        entries["preprocessing"] = _json_bytes(preprocessing)
     for i, p in enumerate(model.params):
-        arrays[f"weight_{i}"] = p.weight.values
-        arrays[f"bias_{i}"] = p.bias.values
+        entries[f"weight_{i}"] = p.weight.values
+        entries[f"bias_{i}"] = p.bias.values
         if p.attn is not None:
-            arrays[f"attn_{i}"] = p.attn.values
-    np.savez(path, config=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+            entries[f"attn_{i}"] = p.attn.values
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, values in entries.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(values))
+
+
+def _json_bytes(obj) -> np.ndarray:
+    return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
 
 
 def load_checkpoint(path) -> Model:
-    import json
-
     with np.load(path) as data:
         meta = json.loads(bytes(data["config"]).decode())
         cfg = ModelConfig(**meta)
@@ -273,3 +287,11 @@ def load_checkpoint(path) -> Model:
                 attn = Tensor(data[f"attn_{i}"], requires_grad=True)
             params.append(LayerParams(weight, bias, attn))
     return Model(cfg, params)
+
+
+def load_preprocessing(path) -> dict:
+    """The preprocessing recorded by :func:`save_checkpoint`, ``{}`` if none."""
+    with np.load(path) as data:
+        if "preprocessing" not in data:
+            return {}
+        return json.loads(bytes(data["preprocessing"]).decode())

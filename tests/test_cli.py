@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import gssl.cli
 from gssl.cli import (ExperimentSpec, ModelSpec, aggregate_runs, cmd_propagate,
                       cmd_export_embeddings, cmd_validate_dataset, main,
                       run_experiment)
-from gssl.data import LabeledDataset, load_splits, save_dataset
+from gssl.data import LabeledDataset, load_dataset, load_splits, save_dataset
 from gssl.errors import InputError
-from gssl.models import Model, ModelConfig, save_checkpoint
+from gssl.graph import Graph
+from gssl.models import Model, ModelConfig, hidden_embedding, load_checkpoint, save_checkpoint
+from gssl.trainer import DataContext
 
 from conftest import barbell_graph, two_blob_dataset
 
@@ -49,12 +52,37 @@ def tiny_spec(dataset_dir, out_dir, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+def quiet(*args, **kwargs):
+    pass
+
+
+def assert_csv_is_aggregate(out_dir):
+    assert ((out_dir / "results.csv").read_bytes()
+            == aggregate_runs(out_dir / "runs").to_csv().encode("ascii"))
+
+
+def output_bytes(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*"))
+            if p.is_file()}
+
+
 def test_validate_dataset_ok(tmp_path, capsys):
     d, ds = write_blobs(tmp_path)
     assert cmd_validate_dataset(d)
     out = capsys.readouterr().out
     assert out.strip().endswith("OK")
     assert f"{ds.n_nodes} nodes" in out
+
+
+def test_validate_dataset_checks_symmetry_without_densifying(tmp_path, monkeypatch, capsys):
+    d, _ = write_blobs(tmp_path)
+
+    def no_dense(self):
+        raise AssertionError("validate-dataset built a dense n x n adjacency")
+
+    monkeypatch.setattr(Graph, "to_dense", no_dense)
+    assert cmd_validate_dataset(d)
+    assert capsys.readouterr().out.strip().endswith("OK")
 
 
 def test_validate_dataset_reports_line_numbered_corruption(tmp_path, capsys):
@@ -152,6 +180,40 @@ def test_failed_cell_isolated(tmp_path):
     assert by_layers[2].status == "ok"
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     assert "failed" in csv_text
+    assert_csv_is_aggregate(tmp_path / "out")
+
+
+def test_cell_failing_after_first_mu_is_failed_everywhere(tmp_path, monkeypatch):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=6)
+    real_train = gssl.cli.train
+
+    def train_failing_at_mu_one(model, ctx, split, cfg):
+        if cfg.loss.mu == 1.0:
+            raise RuntimeError("injected")
+        return real_train(model, ctx, split, cfg)
+
+    monkeypatch.setattr(gssl.cli, "train", train_failing_at_mu_one)
+    spec = tiny_spec(data_dir, tmp_path / "out", mu_grid=[0.5, 1.0])
+    table = run_experiment(spec, log=quiet)
+    rows = {r.label: r for r in table.rows}
+    assert rows["MLP"].status == "ok"
+    assert rows["R-MLP"].status == "failed: RuntimeError: injected"
+    assert_csv_is_aggregate(tmp_path / "out")
+
+
+def test_inline_runs_go_through_module_train(tmp_path, monkeypatch):
+    # profilers and tests substitute gssl.cli.train; inline runs must look it up per call
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=6)
+    real_train = gssl.cli.train
+    seen = []
+
+    def spy(model, ctx, split, cfg):
+        seen.append((model.cfg.kind, cfg.loss.mu, split.seed))
+        return real_train(model, ctx, split, cfg)
+
+    monkeypatch.setattr(gssl.cli, "train", spy)
+    run_experiment(tiny_spec(data_dir, tmp_path / "out"), log=quiet)
+    assert sorted(seen) == [("mlp", mu, seed) for mu in (0.0, 0.5, 1.0) for seed in (0, 1)]
 
 
 def test_export_embeddings_cli(tmp_path, capsys):
@@ -173,6 +235,20 @@ def test_export_embeddings_cli(tmp_path, capsys):
                "--dataset", str(data_dir), "--out", str(tmp_path / "emb2.csv")])
     assert rc == 0
     assert out.read_text() == (tmp_path / "emb2.csv").read_text()
+
+
+def test_export_applies_the_checkpoint_preprocessing(tmp_path):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=13)
+    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("gcn", False)], n_splits=1,
+                     normalize_features=False, save_checkpoints=True)
+    run_experiment(spec, log=quiet)
+    ckpt = tmp_path / "out" / "GCN_ell3_L2.npz"
+    cmd_export_embeddings(ckpt, data_dir, tmp_path / "emb.csv", log=quiet)
+    exported = np.loadtxt(tmp_path / "emb.csv", delimiter=",", skiprows=1)[:, 1:]
+    ctx = DataContext.from_dataset(load_dataset(data_dir))
+    expected = hidden_embedding(load_checkpoint(ckpt), ctx.x, graph=ctx.graph_sl,
+                                a_hat=ctx.a_hat).values
+    assert np.array_equal(exported, expected)
 
 
 def test_missing_checkpoint_is_error(tmp_path):
@@ -259,13 +335,40 @@ def load_splits_from_record(tmp_path, data_dir):
 
 def test_worker_pool_matches_inline_execution(tmp_path):
     data_dir, _ = write_blobs(tmp_path, n_per=16, seed=11)
-    inline = tiny_spec(data_dir, tmp_path / "inline", n_splits=2, mu_grid=[0.5])
+    inline = tiny_spec(data_dir, tmp_path / "inline", n_splits=2, mu_grid=[0.5],
+                       save_checkpoints=True)
     run_experiment(inline, log=lambda *a, **k: None)
     pooled = tiny_spec(data_dir, tmp_path / "pooled", n_splits=2, mu_grid=[0.5],
-                       workers=2)
+                       workers=2, save_checkpoints=True)
     run_experiment(pooled, log=lambda *a, **k: None)
-    assert ((tmp_path / "inline" / "results.csv").read_bytes()
-            == (tmp_path / "pooled" / "results.csv").read_bytes())
+    inline_out, pooled_out = output_bytes(tmp_path / "inline"), output_bytes(tmp_path / "pooled")
+    assert inline_out == pooled_out
+    assert {p.name for p in inline_out if p.suffix == ".npz"} == {"MLP_ell3_L2.npz",
+                                                                  "R-MLP_ell3_L2.npz"}
+    assert_csv_is_aggregate(tmp_path / "inline")
+    assert_csv_is_aggregate(tmp_path / "pooled")
+
+
+def test_output_dir_belongs_to_one_spec(tmp_path):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=14)
+    out = tmp_path / "out"
+    spec = tiny_spec(data_dir, out)
+    run_experiment(spec, log=quiet)
+    first = output_bytes(out)
+    run_experiment(spec, log=quiet)
+    assert output_bytes(out) == first
+
+    other = tiny_spec(data_dir, out, models=[ModelSpec("gcn", False)])
+    with pytest.raises(InputError, match="more than one spec"):
+        run_experiment(other, log=quiet)
+    assert output_bytes(out) == first
+
+    run_experiment(tiny_spec(data_dir, tmp_path / "other", models=[ModelSpec("gcn", False)]),
+                   log=quiet)
+    stray = next((tmp_path / "other" / "runs").glob("*.json"))
+    (out / "runs" / stray.name).write_bytes(stray.read_bytes())
+    with pytest.raises(InputError, match="more than one spec"):
+        aggregate_runs(out / "runs")
 
 
 def test_spec_validation():
