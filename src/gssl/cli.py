@@ -123,10 +123,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        models = [ModelSpec(**m) for m in raw.pop("models")]
-        return cls(models=models, **raw)
+        """Read a spec file.  Malformed JSON, a spec or model entry that is
+        not an object, an unknown or missing key (named in the message) and
+        a TypeError from the field checks raise InputError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise InputError(f"cannot read spec {path}: {err}") from None
+        try:
+            spec = cls(**raw)
+            spec.models = [ModelSpec(**m) for m in spec.models]
+        except TypeError as err:
+            raise InputError(f"spec {path}: {err}") from None
+        return spec
 
 
 @dataclass

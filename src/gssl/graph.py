@@ -61,12 +61,9 @@ class _Csr:
     def to_dense(self) -> np.ndarray:
         return self.scipy.toarray()
 
-    def row_counts(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def row_index_per_entry(self) -> np.ndarray:
         """Row id of every stored entry, aligned with ``indices``."""
-        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.row_counts())
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -103,10 +100,11 @@ class NormalizedAdjacency(_Csr):
     read-only by models, losses and diffusion.
     """
 
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.row_index_per_entry(), self.values)
-        return out
+    @cached_property
+    def laplacian(self) -> _Csr:
+        """D - A_hat with D = diag(degrees(A_hat)), the l2 smoothness operator."""
+        lap = (sp.diags(degrees(self)) - self.scipy).tocsr()
+        return _Csr(self.n_nodes, lap.indptr, lap.indices, lap.data)
 
 
 def _csr_from_pairs(rows: np.ndarray, cols: np.ndarray, n_nodes: int):

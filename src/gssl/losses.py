@@ -2,10 +2,9 @@
 
 The combined objective is ``L_fit + mu * L_smooth`` with sum reduction
 throughout (no averaging; ``mu`` absorbs scale).  The smoothness terms run
-over every stored entry of the normalized, self-looped adjacency; whether
-the (i, i) self-pairs are included is controlled by a flag (they are zero
-in the L2 variant but contribute a row-entropy term to the cross-entropy
-variant).
+over every stored entry of the normalized, self-looped adjacency.  The
+(i, i) self-pairs are zero in the L2 variant; in the cross-entropy variant
+they contribute a row-entropy term, and a flag decides whether they count.
 
 The cross-entropy smoothness loss pushes each node's predicted
 distribution toward its neighbors' current argmax classes: the one-hot
@@ -92,33 +91,15 @@ def l2_fit(z: Tensor, y, labeled) -> Tensor:
     return ad.sum(ad.elementwise_mul(diff, diff))
 
 
-def _smooth_weights(a_hat: NormalizedAdjacency, include_self_loops: bool):
-    """Row-sum vector and diagonal of the smoothness weighting."""
-    row_sums = a_hat.row_sums()
-    diag = a_hat.scipy.diagonal()
-    if include_self_loops:
-        return row_sums, None
-    return row_sums - diag, diag
-
-
-def l2_smooth(z: Tensor, a_hat: NormalizedAdjacency, include_self_loops: bool = True) -> Tensor:
+def l2_smooth(z: Tensor, a_hat: NormalizedAdjacency) -> Tensor:
     """sum over stored entries (i, j) of A_hat_ij * ||z_i - z_j||^2.
 
-    Computed through the Laplacian identity
-    2 * (sum_i d_i ||z_i||^2 - sum(Z * (A_hat Z))), which the tests check
-    against a scalar double loop.
+    Computed through the Laplacian identity 2 * sum(Z * (L Z)) with
+    L = D - A_hat, which the tests check against a scalar double loop.
     """
     if a_hat.n_nodes != z.shape[0]:
         raise InputError(f"l2_smooth: adjacency has {a_hat.n_nodes} nodes, z has {z.shape[0]} rows")
-    dvec, diag = _smooth_weights(a_hat, include_self_loops)
-    c = z.shape[1]
-    dmat = Tensor(np.repeat(dvec[:, None], c, axis=1))
-    prod = ad.spmm(a_hat, z)
-    if diag is not None:
-        prod = ad.sub(prod, ad.elementwise_mul(Tensor(np.repeat(diag[:, None], c, axis=1)), z))
-    quad = ad.sum(ad.elementwise_mul(z, ad.elementwise_mul(dmat, z)))
-    cross = ad.sum(ad.elementwise_mul(z, prod))
-    return ad.scale(ad.sub(quad, cross), 2.0)
+    return ad.scale(ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat.laplacian, z))), 2.0)
 
 
 def one_hot_argmax(z) -> np.ndarray:
@@ -154,7 +135,7 @@ def combined_loss(z: Tensor, y, labeled, a_hat: NormalizedAdjacency, cfg: LossCo
         fit = l2_fit(z, y, labeled)
         if cfg.mu == 0.0:
             return fit
-        smooth = l2_smooth(z, a_hat, cfg.include_self_loops)
+        smooth = l2_smooth(z, a_hat)
     else:
         fit = ce_fit(z, y, labeled)
         if cfg.mu == 0.0:

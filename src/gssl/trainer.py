@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingAbort(GsslError):
     """Training hit non-finite numbers; the message names the epoch."""
 
@@ -44,18 +47,12 @@ class TrainConfig:
     patience: int = 100
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    monitor: str = "val_loss"
 
     def __post_init__(self):
         if self.lr <= 0:
             raise InputError("lr must be positive")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
-        if self.monitor not in ("val_loss", "val_acc"):
-            raise InputError(f"unknown monitor {self.monitor!r}")
 
 
 @dataclass
@@ -120,18 +117,17 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
     if decay_mask is None:
         decay_mask = [True] * len(params)
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, m, v, decayed in zip(params, state.m, state.v, decay_mask, strict=True):
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if decayed and cfg.weight_decay:
             g = g + cfg.weight_decay * p.values
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.values = p.values - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.values = p.values - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -177,8 +173,8 @@ def evaluate(model: Model, ctx: DataContext, indices) -> float:
 def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> TrainReport:
     """Train up to ``cfg.max_epochs`` epochs with early stopping.
 
-    Stops once the monitored validation metric has not improved for
-    ``cfg.patience`` consecutive epochs ("improved" means strictly better
+    Stops once the validation loss has not improved for
+    ``cfg.patience`` consecutive epochs ("improved" means strictly smaller
     than the best seen).  Parameters are restored from the best epoch
     before the single final test evaluation.  The validation loss is the
     full training objective (fitness on the validation nodes plus the
@@ -212,7 +208,7 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
             raise TrainingAbort(f"epoch {epoch}: {err}") from err
         history.append((float(loss.values[0, 0]), val_loss, val_acc))
 
-        if stopper.update(val_loss if cfg.monitor == "val_loss" else -val_acc):
+        if stopper.update(val_loss):
             best_values = model.state_values()
         if stopper.should_stop:
             break

@@ -1,14 +1,19 @@
-"""Shared builders: random graphs, the barbell graph, toy datasets, and
-the gate for optional real-dataset directories."""
+"""Shared builders: random graphs, the barbell graph, toy datasets, the
+gate for optional real-dataset directories, and independent routes to the
+diffusion solution (dense Cholesky solve, gradient descent on the
+quadratic objective) that the library's solvers are checked against."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gssl import autodiff as ad
+from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset
-from gssl.graph import Graph, add_self_loops, from_edge_list, sym_normalize
+from gssl.graph import Graph, NormalizedAdjacency, add_self_loops, from_edge_list, sym_normalize
 
 
 def random_pairs(n, p, rng):
@@ -101,3 +106,42 @@ def require_dataset(name: str) -> Path:
         pytest.skip(f"{name} dataset not provisioned under {dataset_root()} "
                     f"(see README: Datasets)")
     return dataset_root() / name
+
+
+def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
+    """Oracle: dense Cholesky solve of (I - (1-gamma) A_hat) Z = gamma Y."""
+    system = np.eye(a_hat.n_nodes) - (1.0 - gamma) * a_hat.to_dense()
+    return gamma * scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), y)
+
+
+def regularization_objective(z: Tensor, y, a_hat: NormalizedAdjacency, mu: float) -> Tensor:
+    """||Z - Y||_F^2 + mu * tr(Z^T (I - A_hat) Z) on the autodiff engine.
+
+    The minimizer over free Z equals diffuse_direct(a_hat, y, 1/(mu+1)).
+    """
+    diff = ad.sub(z, Tensor(np.asarray(y, dtype=np.float64)))
+    fit = ad.sum(ad.elementwise_mul(diff, diff))
+    quad = ad.sub(ad.sum(ad.elementwise_mul(z, z)),
+                  ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat, z))))
+    return ad.add(fit, ad.scale(quad, mu))
+
+
+def minimize_objective(a_hat: NormalizedAdjacency, y, mu: float,
+                       lr: float | None = None, max_steps: int = 5000,
+                       tol: float = 1e-10) -> np.ndarray:
+    """Gradient-descent minimization of :func:`regularization_objective`.
+
+    An independent route to the diffusion solution.  The objective's
+    Hessian is 2(I + mu (I - A_hat)) with eigenvalues in [2, 2 + 4 mu], so
+    the default step 1/(2 + 2 mu) sits inside the stable region.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    step = 1.0 / (2.0 + 2.0 * mu) if lr is None else lr
+    z = Tensor(np.zeros_like(y), requires_grad=True)
+    for _ in range(max_steps):
+        z.grad = None
+        ad.backward(regularization_objective(z, y, a_hat, mu))
+        z.values = z.values - step * z.grad
+        if float(np.abs(z.grad).max()) < tol:
+            break
+    return z.values

@@ -19,15 +19,15 @@ from gssl.autodiff import Tensor
 from gssl.cli import ExperimentSpec, ModelSpec, run_experiment
 from gssl.data import save_dataset
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
-                            gamma_from_mu, label_matrix, minimize_objective,
-                            propagate_labels, regularization_objective)
+                            gamma_from_mu, label_matrix, propagate_labels)
 from gssl.graph import add_self_loops, from_edge_list
 from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss,
                          softmax_predictions)
 from gssl.models import Model, ModelConfig, gat_forward, init_params
 
-from conftest import (barbell_graph, dataset_present, dataset_root, normalized,
-                      random_connected_graph, random_graph, two_blob_dataset)
+from conftest import (barbell_graph, dataset_present, dataset_root, minimize_objective,
+                      normalized, random_connected_graph, random_graph,
+                      regularization_objective, two_blob_dataset)
 
 FD_TOL = 1e-4
 

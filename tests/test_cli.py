@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_run_via_main_and_spec_file(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "results.csv").is_file()
     assert (tmp_path / "out" / "results.txt").is_file()
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_split": 3}', "'n_split'"),
+    ('{"dataset": "d"}', "'models'"),
+    ('{"dataset": "d", "models": [{"kind": "mlp", "layers": 2}]}', "'layers'"),
+    ('{"dataset": "d", "models": [{"regularized": true}]}', "'kind'"),
+    ('{"dataset": "d", "models": ["mlp"]}', "must be a mapping, not str"),
+    ('{"dataset": "d", "models": 3}', "'int' object is not iterable"),
+    ('["d"]', "must be a mapping, not list"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_splits": "3"}', "not supported"),
+    ('{"dataset": "d", "models": [', "cannot read spec"),
+], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
+        "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
+        "malformed-json"])
+def test_bad_spec_file_is_input_error_exit_2(tmp_path, capsys, text, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(named)):
+        ExperimentSpec.from_json(spec_path)
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_known_dataset_profile_mismatch_flagged(tmp_path, capsys):

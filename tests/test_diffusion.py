@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
-                            gamma_from_mu, label_matrix, minimize_objective,
-                            propagate_labels)
+                            gamma_from_mu, label_matrix, propagate_labels)
 from gssl.errors import InputError
-from gssl.graph import from_edge_list
+from gssl.graph import _Csr, from_edge_list
 
-from conftest import barbell_graph, normalized, random_connected_graph, random_graph
+from conftest import (barbell_graph, dense_diffusion, minimize_objective, normalized,
+                      random_connected_graph, random_graph)
 
 
 def test_label_matrix_shape_and_rows():
@@ -67,6 +67,32 @@ def test_solver_equivalence_across_gammas(gamma):
         direct = diffuse_direct(a_hat, y, gamma)
         res = diffuse_iterative(a_hat, y, DiffusionConfig(gamma=gamma, tol=1e-11))
         assert np.abs(direct - res.z).max() < 1e-7
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.9, 1.0])
+def test_cg_solve_matches_dense_cholesky(gamma):
+    graphs = [random_graph(n, p, seed=seed)
+              for seed, (n, p) in enumerate([(30, 0.2), (60, 0.05), (90, 0.1)])]
+    for g in graphs + [from_edge_list([], 25)]:
+        a_hat = normalized(g)
+        y = label_matrix(np.arange(g.n_nodes) % 4, np.arange(0, g.n_nodes, 6))
+        err = np.abs(diffuse_direct(a_hat, y, gamma) - dense_diffusion(a_hat, y, gamma)).max()
+        assert err <= 1e-10
+
+
+def test_direct_solve_at_pubmed_size_never_densifies(monkeypatch):
+    n = 19_717  # Pubmed's node count; the dense system would take 3.1 GB
+
+    def no_dense(self):
+        raise AssertionError("diffuse_direct built a dense n x n matrix")
+
+    monkeypatch.setattr(_Csr, "to_dense", no_dense)
+    a_hat = normalized(from_edge_list([(i, (i + 1) % n) for i in range(n)], n))
+    y = label_matrix(np.arange(n) % 3, np.arange(0, n, 500))
+    gamma, tol = 0.2, 1e-8
+    direct = diffuse_direct(a_hat, y, gamma)
+    res = diffuse_iterative(a_hat, y, DiffusionConfig(gamma=gamma, tol=tol))
+    assert np.abs(direct - res.z).max() <= tol * (1 - gamma) / gamma
 
 
 def test_fixed_point_independent_of_start():

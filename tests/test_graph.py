@@ -126,7 +126,9 @@ def test_sparse_matvec_matches_dense():
 
 def test_normalized_row_sums_match_dense():
     a_hat = normalized(random_graph(30, 0.2, seed=5))
-    assert np.allclose(a_hat.row_sums(), a_hat.to_dense().sum(axis=1))
+    dense = a_hat.to_dense()
+    assert np.allclose(degrees(a_hat), dense.sum(axis=1))
+    assert np.allclose(a_hat.laplacian.to_dense(), np.diag(dense.sum(axis=1)) - dense)
 
 
 def test_read_edge_list(tmp_path):

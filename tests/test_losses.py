@@ -128,13 +128,18 @@ def test_l2_smooth_matches_scalar_loop_and_laplacian_trace():
         assert np.isclose(ours, 2.0 * np.trace(z.T @ lap @ z), rtol=1e-10)
 
 
-def test_l2_smooth_self_loop_flag_is_value_neutral():
-    # (i, i) pairs contribute zero distance, so both modes agree
+def test_l2_smooth_matches_loop_with_and_without_self_pairs():
+    # (i, i) pairs contribute zero distance, so one value serves both
+    # settings of the flag, which l2_smooth therefore does not take
     a_hat = normalized(random_graph(9, 0.3, seed=5))
+    dense = a_hat.to_dense()
     z = np.random.default_rng(4).normal(size=(9, 2))
-    inc = l2_smooth(Tensor(z), a_hat, include_self_loops=True).values[0, 0]
-    exc = l2_smooth(Tensor(z), a_hat, include_self_loops=False).values[0, 0]
-    assert np.isclose(inc, exc, rtol=1e-10)
+    ours = l2_smooth(Tensor(z), a_hat).values[0, 0]
+    for include in (True, False):
+        assert np.isclose(ours, loop_l2_smooth(z, dense, include), rtol=1e-10)
+        cfg = LossConfig(mu=1.0, variant="l2", include_self_loops=include)
+        combined = combined_loss(Tensor(z), np.zeros_like(z), [], a_hat, cfg).values[0, 0]
+        assert np.isclose(combined, ours, rtol=1e-12)
 
 
 def test_l2_smooth_zero_iff_constant_per_component():

@@ -185,5 +185,3 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(InputError):
         TrainConfig(patience=0)
-    with pytest.raises(InputError):
-        TrainConfig(monitor="train_loss")
