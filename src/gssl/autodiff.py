@@ -37,7 +37,6 @@ __all__ = [
     "edge_softmax",
     "edge_aggregate",
     "backward",
-    "finite_difference_check",
     "LOG_EPS",
 ]
 
@@ -362,30 +361,3 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-
-
-def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must be a deterministic scalar-valued function of ``x`` (run
-    dropout with ``training=False``).  Error per entry is
-    |analytic - numeric| / (|numeric| + 1e-8).
-    """
-    if not x.requires_grad:
-        raise InputError("finite_difference_check needs x.requires_grad=True")
-    x.grad = None
-    backward(f(x))
-    analytic = x.grad if x.grad is not None else np.zeros(x.shape)
-    analytic = analytic.copy()
-    numeric = np.zeros(x.shape)
-    base = x.values.copy()
-    for i, j in np.ndindex(*x.shape):
-        x.values[i, j] = base[i, j] + step
-        up = f(x).values[0, 0]
-        x.values[i, j] = base[i, j] - step
-        down = f(x).values[0, 0]
-        x.values[i, j] = base[i, j]
-        numeric[i, j] = (up - down) / (2.0 * step)
-    x.grad = None
-    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(rel.max())

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -73,12 +73,33 @@ def _model_label(kind: str, regularized: bool) -> str:
     return ("R-" if regularized else "") + kind.upper()
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _is_json_type(value, name: str) -> bool:
+    """Whether ``value`` is of the annotated type ``name``: ``list[T]`` is a
+    list of T, a float may be written as an integer, true/false is no number."""
+    if name.startswith("list["):
+        return isinstance(value, list) and all(_is_json_type(v, name[5:-1]) for v in value)
+    if name == "ModelSpec":
+        return isinstance(value, ModelSpec)
+    return isinstance(value, _JSON_TYPES[name]) and (name == "bool" or not isinstance(value, bool))
+
+
+def _check_json_types(spec) -> None:
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not _is_json_type(value, f.type):
+            raise InputError(f"spec field {f.name!r} must be {f.type}, got {value!r}")
+
+
 @dataclass
 class ModelSpec:
     kind: str
     regularized: bool = False
 
     def __post_init__(self):
+        _check_json_types(self)
         if self.kind not in KINDS:
             raise InputError(f"unknown model kind {self.kind!r}")
 
@@ -114,29 +135,41 @@ class ExperimentSpec:
     save_checkpoints: bool = False
 
     def __post_init__(self):
+        """Check every value before any data loads; ``models`` entries may be JSON objects."""
+        if isinstance(self.models, list):
+            self.models = [m if isinstance(m, ModelSpec) else ModelSpec(**m) for m in self.models]
+        _check_json_types(self)
         if self.n_splits < 1:
             raise InputError("n_splits must be >= 1")
         if not self.models:
             raise InputError("experiment needs at least one model")
-        if not self.mu_grid:
-            raise InputError("mu_grid must not be empty")
+        for name in ("ell", "layer_counts", "mu_grid"):
+            if not getattr(self, name):
+                raise InputError(f"{name} must not be empty")
+        if self.val_size < 1 or self.test_size < 1:
+            raise InputError("val_size and test_size must be >= 1")
+        # Build the configs the runs will use, so that their own checks apply.
+        for mspec in self.models:
+            for n_layers in self.layer_counts:
+                _model_config(self, mspec.kind, n_layers)
+        for mu in self.mu_grid:
+            _train_config(self, mu, self.base_seed)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         """Read a spec file.  Malformed JSON, a spec or model entry that is
-        not an object, an unknown or missing key (named in the message) and
-        a TypeError from the field checks raise InputError."""
+        not an object, an unknown or missing key (named in the message), a
+        value of the wrong type and a value the configs reject raise
+        InputError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as err:
             raise InputError(f"cannot read spec {path}: {err}") from None
         try:
-            spec = cls(**raw)
-            spec.models = [ModelSpec(**m) for m in spec.models]
+            return cls(**raw)
         except TypeError as err:
             raise InputError(f"spec {path}: {err}") from None
-        return spec
 
 
 @dataclass
@@ -214,6 +247,12 @@ def _model_config(spec: ExperimentSpec, kind: str, n_layers: int) -> ModelConfig
                        appnp_k=spec.appnp_k)
 
 
+def _train_config(spec: ExperimentSpec, mu: float, seed: int) -> TrainConfig:
+    loss = LossConfig(mu=mu, variant=spec.loss_variant, include_self_loops=spec.include_self_loops)
+    return TrainConfig(lr=spec.lr, weight_decay=spec.weight_decay, max_epochs=spec.max_epochs,
+                       patience=spec.patience, loss=loss, seed=seed)
+
+
 def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict, list | None]:
     """Train one (model, ell, n_layers, mu, split) task: its run record, and
     its parameter arrays for the ``base_seed`` split if ``save_checkpoints``.
@@ -227,11 +266,7 @@ def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict
     try:
         model = Model.init(_model_config(spec, mspec.kind, n_layers), ctx.x.shape[1],
                            ctx.n_classes, seed=split.seed)
-        loss_cfg = LossConfig(mu=mu, variant=spec.loss_variant,
-                              include_self_loops=spec.include_self_loops)
-        report = train(model, ctx, split, TrainConfig(
-            lr=spec.lr, weight_decay=spec.weight_decay, max_epochs=spec.max_epochs,
-            patience=spec.patience, loss=loss_cfg, seed=split.seed))
+        report = train(model, ctx, split, _train_config(spec, mu, split.seed))
     except Exception as err:  # cell isolation: the error is recorded, not raised
         record["status"] = f"failed: {type(err).__name__}: {err}"
         return record, None
@@ -395,7 +430,7 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
     model = load_checkpoint(ckpt)
     # Checkpoints that predate recorded preprocessing were trained on normalized features.
     _, ctx = _load_context(dataset, load_preprocessing(ckpt).get("normalize_features", True))
-    emb = hidden_embedding(model, ctx.x, graph=ctx.graph_sl, a_hat=ctx.a_hat).values
+    emb = hidden_embedding(model, ctx.x, ctx.a_hat).values
     header = "node," + ",".join(f"dim{i}" for i in range(emb.shape[1]))
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
@@ -405,18 +440,14 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
 
 
 def cmd_validate_dataset(directory, log=print) -> bool:
-    """Run the data-module invariants; print counts and OK/violations."""
+    """Load the dataset (the loader makes the graph symmetric and binary), check
+    finite features and known benchmarks' counts; print counts and OK/violations."""
     try:
         ds = load_dataset(resolve_dataset_dir(directory))
     except (GsslError, OSError) as err:
         log(f"INVALID: {err}")
         return False
     problems = []
-    adj = ds.graph.scipy
-    if (adj != adj.T).nnz:
-        problems.append("adjacency not symmetric")
-    if not np.all((ds.graph.values == 1.0)):
-        problems.append("edge values not binary")
     if not np.isfinite(ds.features).all():
         problems.append("non-finite feature values")
     name = ds.name.lower()

@@ -35,7 +35,6 @@ __all__ = [
     "save_dataset",
     "make_splits",
     "row_normalize_features",
-    "one_hot",
     "save_splits",
     "load_splits",
 ]
@@ -216,14 +215,6 @@ def row_normalize_features(ds: LabeledDataset) -> LabeledDataset:
     norms = np.abs(ds.features).sum(axis=1, keepdims=True)
     scaled = np.divide(ds.features, norms, out=ds.features.copy(), where=norms > 0)
     return LabeledDataset(ds.graph, scaled, ds.labels.copy(), name=ds.name)
-
-
-def one_hot(labels, n_classes: int | None = None) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    c = int(labels.max()) + 1 if n_classes is None else n_classes
-    out = np.zeros((labels.shape[0], c))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def make_splits(ds: LabeledDataset, ell: int, n_splits: int, base_seed: int,

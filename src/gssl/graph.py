@@ -65,6 +65,11 @@ class _Csr:
         """Row id of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
 
+    @cached_property
+    def has_all_self_loops(self) -> bool:
+        rows = self.row_index_per_entry()
+        return np.unique(rows[self.indices == rows]).size == self.n_nodes
+
 
 @dataclass(frozen=True)
 class Graph(_Csr):
@@ -72,18 +77,8 @@ class Graph(_Csr):
 
     Invariants: entry (u, v) present iff (v, u) present with equal value,
     no duplicate entries, column indices sorted within each row, values
-    finite and non-negative.  ``binary_input`` records that input edge
-    values were forced to 1.
+    finite and non-negative.
     """
-
-    binary_input: bool = True
-
-    @cached_property
-    def has_all_self_loops(self) -> bool:
-        present = np.zeros(self.n_nodes, dtype=bool)
-        rows = self.row_index_per_entry()
-        present[rows[self.indices == rows]] = True
-        return bool(present.all())
 
     @property
     def n_undirected_edges(self) -> int:
@@ -96,8 +91,9 @@ class Graph(_Csr):
 class NormalizedAdjacency(_Csr):
     """Symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
-    Symmetric, spectral radius <= 1.  Built once per graph and shared
-    read-only by models, losses and diffusion.
+    Symmetric, spectral radius <= 1.  Its stored entries are those of
+    A + I, since :func:`sym_normalize` copies that pattern.  Built once per
+    graph and shared read-only by models, losses and diffusion.
     """
 
     @cached_property
@@ -143,7 +139,7 @@ def from_edge_list(pairs, n_nodes: int) -> Graph:
     rows = np.concatenate([arr[:, 0], arr[:, 1]])
     cols = np.concatenate([arr[:, 1], arr[:, 0]])
     indptr, indices, values = _csr_from_pairs(rows, cols, n_nodes)
-    return Graph(n_nodes, indptr, indices, values, binary_input=True)
+    return Graph(n_nodes, indptr, indices, values)
 
 
 def add_self_loops(g: Graph) -> Graph:
@@ -155,7 +151,7 @@ def add_self_loops(g: Graph) -> Graph:
     rows = np.concatenate([g.row_index_per_entry(), diag])
     cols = np.concatenate([g.indices, diag])
     indptr, indices, values = _csr_from_pairs(rows, cols, g.n_nodes)
-    return Graph(g.n_nodes, indptr, indices, values, binary_input=g.binary_input)
+    return Graph(g.n_nodes, indptr, indices, values)
 
 
 def degrees(g: _Csr) -> np.ndarray:

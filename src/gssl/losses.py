@@ -1,7 +1,10 @@
 """Supervised fitness losses, graph smoothness losses, and their combination.
 
-The combined objective is ``L_fit + mu * L_smooth`` with sum reduction
-throughout (no averaging; ``mu`` absorbs scale).  The smoothness terms run
+The combined objective is ``L_fit(Z, Y) + mu * L_smooth(Z; A_hat)`` with
+sum reduction throughout (no averaging; ``mu`` absorbs scale).  ``Y`` is
+the label matrix of :func:`gssl.diffusion.label_matrix`: one-hot on
+labeled rows, zero elsewhere, so the fitness terms run over its nonzero
+rows and no separate index list is needed.  The smoothness terms run
 over every stored entry of the normalized, self-looped adjacency.  The
 (i, i) self-pairs are zero in the L2 variant; in the cross-entropy variant
 they contribute a row-entropy term, and a flag decides whether they count.
@@ -46,7 +49,7 @@ class LossConfig:
     include_self_loops: bool = True
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:  # written so that NaN fails too
             raise InputError(f"mu must be >= 0, got {self.mu}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown loss variant {self.variant!r}")
@@ -61,32 +64,21 @@ def _as_array(y) -> np.ndarray:
     return y.values if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
 
 
-def _check_labeled(labeled, n: int) -> np.ndarray:
-    labeled = np.asarray(labeled, dtype=np.int64).ravel()
-    if labeled.size and (labeled.min() < 0 or labeled.max() >= n):
-        raise InputError(f"labeled index out of range [0, {n})")
-    return labeled
-
-
-def ce_fit(z: Tensor, y, labeled) -> Tensor:
-    """-sum over labeled rows of y_i . log z_i (log clamped at 1e-12)."""
+def ce_fit(z: Tensor, y) -> Tensor:
+    """-sum over rows of y_i . log z_i (log clamped at 1e-12); the zero rows
+    of Y (unlabeled nodes) add nothing."""
     y = _as_array(y)
     if y.shape != z.shape:
         raise InputError(f"ce_fit shape mismatch: z {z.shape} vs y {y.shape}")
-    labeled = _check_labeled(labeled, z.shape[0])
-    target = np.zeros(z.shape)
-    target[labeled] = y[labeled]
-    return ad.scale(ad.sum(ad.elementwise_mul(Tensor(target), ad.log_clamped(z))), -1.0)
+    return ad.scale(ad.sum(ad.elementwise_mul(Tensor(y), ad.log_clamped(z))), -1.0)
 
 
-def l2_fit(z: Tensor, y, labeled) -> Tensor:
-    """sum over labeled rows of ||z_i - y_i||^2."""
+def l2_fit(z: Tensor, y) -> Tensor:
+    """sum over the nonzero (labeled) rows i of Y of ||z_i - y_i||^2."""
     y = _as_array(y)
     if y.shape != z.shape:
         raise InputError(f"l2_fit shape mismatch: z {z.shape} vs y {y.shape}")
-    labeled = _check_labeled(labeled, z.shape[0])
-    mask = np.zeros(z.shape)
-    mask[labeled] = 1.0
+    mask = np.broadcast_to(y.any(axis=1, keepdims=True), y.shape)
     diff = ad.elementwise_mul(Tensor(mask), ad.sub(z, Tensor(y)))
     return ad.sum(ad.elementwise_mul(diff, diff))
 
@@ -129,15 +121,16 @@ def ce_smooth(z: Tensor, a_hat: NormalizedAdjacency, include_self_loops: bool = 
     return ad.scale(ad.sum(ad.elementwise_mul(Tensor(weights), ad.log_clamped(z))), -1.0)
 
 
-def combined_loss(z: Tensor, y, labeled, a_hat: NormalizedAdjacency, cfg: LossConfig) -> Tensor:
-    """L_fit + mu * L_smooth; mu = 0 is exactly the supervised loss."""
+def combined_loss(z: Tensor, y, a_hat: NormalizedAdjacency, cfg: LossConfig) -> Tensor:
+    """L_fit(Z, Y) + mu * L_smooth(Z; A_hat); mu = 0 is exactly the
+    supervised loss."""
     if cfg.variant == "l2":
-        fit = l2_fit(z, y, labeled)
+        fit = l2_fit(z, y)
         if cfg.mu == 0.0:
             return fit
         smooth = l2_smooth(z, a_hat)
     else:
-        fit = ce_fit(z, y, labeled)
+        fit = ce_fit(z, y)
         if cfg.mu == 0.0:
             return fit
         smooth = ce_smooth(z, a_hat, cfg.include_self_loops)

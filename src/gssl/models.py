@@ -3,9 +3,10 @@
 All models share the same stacked-layer skeleton: dropout is applied to
 the input of every hidden layer when training, ReLU sits between layers
 and never after the last one, and the final layer emits raw logits
-(softmax lives in :mod:`gssl.losses`).  GCN and APPNP aggregate through
-the normalized adjacency; GAT computes its own attention weights over the
-self-looped edge structure.
+(softmax lives in :mod:`gssl.losses`).  Every graph model takes the
+normalized adjacency A_hat: GCN and APPNP aggregate through its values,
+GAT computes its own attention weights over its stored entries, which are
+the self-looped edge structure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
-from .graph import Graph, NormalizedAdjacency
+from .graph import NormalizedAdjacency
 
 __all__ = [
     "KINDS",
@@ -138,35 +139,28 @@ def gcn_forward(x, a_hat, params, cfg, training=False, rng=None, return_hidden=F
     return _stack_forward(x, params, cfg, layer, training, rng, return_hidden)
 
 
-def gat_forward(
-    x,
-    graph: Graph,
-    params,
-    cfg,
-    training=False,
-    rng=None,
-    return_hidden=False,
-    return_attention=False,
-):
-    """Single-head attention aggregation over the self-looped edge set.
+def gat_forward(x, a_hat: NormalizedAdjacency, params, cfg, training=False, rng=None,
+                return_hidden=False, return_attention=False):
+    """Single-head attention aggregation over A_hat's stored entries.
 
-    Per stored entry (v, u): score = LeakyReLU(attn . [W h_v || W h_u]),
-    normalized by softmax over v's entries, then h'_v = sum_u alpha_vu
-    (W h_u + bias).  Since attention rows sum to 1, folding the bias into
-    the aggregated term equals adding it afterwards.
+    Only the pattern of A_hat is read, not its values.  Per stored entry
+    (v, u): score = LeakyReLU(attn . [W h_v || W h_u]), normalized by
+    softmax over v's entries, then h'_v = sum_u alpha_vu (W h_u + bias).
+    Since attention rows sum to 1, folding the bias into the aggregated
+    term equals adding it afterwards.
     """
-    if not graph.has_all_self_loops:
-        raise InputError("gat_forward needs a self-looped graph (apply add_self_loops)")
-    rows = graph.row_index_per_entry()
+    if not a_hat.has_all_self_loops:
+        raise InputError("gat_forward needs a self-looped adjacency (apply add_self_loops)")
+    rows = a_hat.row_index_per_entry()
     attentions = []
 
     def layer(h, p):
         wh = ad.add(ad.matmul(h, p.weight), p.bias)
-        per_edge = ad.concat_cols(ad.gather_rows(wh, rows), ad.gather_rows(wh, graph.indices))
+        per_edge = ad.concat_cols(ad.gather_rows(wh, rows), ad.gather_rows(wh, a_hat.indices))
         scores = ad.leaky_relu(ad.matmul(per_edge, p.attn), cfg.leaky_slope)
-        alpha = ad.edge_softmax(scores, graph)
+        alpha = ad.edge_softmax(scores, a_hat)
         attentions.append(alpha)
-        return ad.edge_aggregate(alpha, wh, graph)
+        return ad.edge_aggregate(alpha, wh, a_hat)
 
     out = _stack_forward(x, params, cfg, layer, training, rng, return_hidden)
     if return_attention:
@@ -197,23 +191,14 @@ class Model:
     def init(cls, cfg: ModelConfig, d_in: int, n_classes: int, seed) -> "Model":
         return cls(cfg, init_params(cfg, d_in, n_classes, seed))
 
-    def forward(self, x, graph=None, a_hat=None, training=False, rng=None,
+    def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
                 return_hidden=False):
-        kind = self.cfg.kind
-        if kind == "mlp":
+        """Logits; every kind but MLP needs ``a_hat``."""
+        if self.cfg.kind == "mlp":
             return mlp_forward(x, self.params, self.cfg, training, rng, return_hidden)
-        if kind == "gcn":
-            self._need(a_hat, NormalizedAdjacency)
-            return gcn_forward(x, a_hat, self.params, self.cfg, training, rng, return_hidden)
-        if kind == "gat":
-            self._need(graph, Graph)
-            return gat_forward(x, graph, self.params, self.cfg, training, rng, return_hidden)
-        self._need(a_hat, NormalizedAdjacency)
-        return appnp_forward(x, a_hat, self.params, self.cfg, training, rng, return_hidden)
-
-    def _need(self, arg, typ):
-        if not isinstance(arg, typ):
-            raise InputError(f"{self.cfg.kind} forward needs a {typ.__name__}")
+        graph_forward = {"gcn": gcn_forward, "gat": gat_forward, "appnp": appnp_forward}
+        return graph_forward[self.cfg.kind](x, a_hat, self.params, self.cfg, training, rng,
+                                            return_hidden)
 
     def parameters(self) -> list[Tensor]:
         return [t for p in self.params for t in p.tensors()]
@@ -234,12 +219,11 @@ class Model:
             t.values = v.copy()
 
 
-def hidden_embedding(model: Model, x, graph=None, a_hat=None) -> Tensor:
+def hidden_embedding(model: Model, x, a_hat: NormalizedAdjacency | None = None) -> Tensor:
     """Penultimate-layer activations (n x hidden_dim), dropout disabled."""
     if model.cfg.n_layers < 2:
         raise InputError("hidden_embedding needs a model with >= 2 layers")
-    _, hidden = model.forward(x, graph=graph, a_hat=a_hat, training=False,
-                              return_hidden=True)
+    _, hidden = model.forward(x, a_hat, training=False, return_hidden=True)
     return hidden
 
 

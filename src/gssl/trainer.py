@@ -13,9 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import LabeledDataset, Split, one_hot
+from .data import LabeledDataset, Split
+from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
-from .graph import Graph, NormalizedAdjacency, add_self_loops, sym_normalize
+from .graph import NormalizedAdjacency, add_self_loops, sym_normalize
 from .losses import LossConfig, combined_loss, softmax_predictions
 from .models import Model
 
@@ -49,8 +50,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # written so that NaN fails too
             raise InputError("lr must be positive")
+        if not self.weight_decay >= 0:
+            raise InputError("weight_decay must be >= 0")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
 
@@ -137,23 +140,20 @@ class DataContext:
     x: Tensor
     labels: np.ndarray
     n_classes: int
-    graph_sl: Graph
     a_hat: NormalizedAdjacency
 
     @classmethod
     def from_dataset(cls, ds: LabeledDataset) -> "DataContext":
-        g_sl = add_self_loops(ds.graph)
         return cls(
             x=Tensor(ds.features),
             labels=ds.labels,
             n_classes=ds.n_classes,
-            graph_sl=g_sl,
-            a_hat=sym_normalize(g_sl),
+            a_hat=sym_normalize(add_self_loops(ds.graph)),
         )
 
     def forward(self, model: Model, training=False, rng=None, return_hidden=False):
-        return model.forward(self.x, graph=self.graph_sl, a_hat=self.a_hat,
-                             training=training, rng=rng, return_hidden=return_hidden)
+        return model.forward(self.x, self.a_hat, training=training, rng=rng,
+                             return_hidden=return_hidden)
 
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
@@ -181,7 +181,8 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     weighted smoothness term).
     """
     rng = np.random.default_rng(cfg.seed)
-    y = one_hot(ctx.labels, ctx.n_classes)
+    y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
+    y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
     params = model.parameters()
     decay_mask = model.decay_mask()
     state = AdamState(params)
@@ -195,14 +196,14 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
         try:
             logits = ctx.forward(model, training=True, rng=rng)
             z = softmax_predictions(logits)
-            loss = combined_loss(z, y, split.train, ctx.a_hat, cfg.loss)
+            loss = combined_loss(z, y_train, ctx.a_hat, cfg.loss)
             ad.backward(loss)
             adam_step(params, state, cfg, decay_mask)
 
             eval_logits = ctx.forward(model, training=False)
             z_eval = softmax_predictions(eval_logits)
             val_loss = float(
-                combined_loss(z_eval, y, split.val, ctx.a_hat, cfg.loss).values[0, 0])
+                combined_loss(z_eval, y_val, ctx.a_hat, cfg.loss).values[0, 0])
             val_acc = accuracy(eval_logits.values, ctx.labels, split.val)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}") from err

@@ -1,7 +1,8 @@
 """Shared builders: random graphs, the barbell graph, toy datasets, the
-gate for optional real-dataset directories, and independent routes to the
-diffusion solution (dense Cholesky solve, gradient descent on the
-quadratic objective) that the library's solvers are checked against."""
+gate for optional real-dataset directories, the finite-difference gradient
+check, and independent routes to the diffusion solution (dense Cholesky
+solve, gradient descent on the quadratic objective) that the library's
+solvers are checked against."""
 
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ import scipy.linalg
 from gssl import autodiff as ad
 from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset
+from gssl.errors import InputError
 from gssl.graph import Graph, NormalizedAdjacency, add_self_loops, from_edge_list, sym_normalize
 
 
@@ -106,6 +108,33 @@ def require_dataset(name: str) -> Path:
         pytest.skip(f"{name} dataset not provisioned under {dataset_root()} "
                     f"(see README: Datasets)")
     return dataset_root() / name
+
+
+def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` must be a deterministic scalar-valued function of ``x`` (run
+    dropout with ``training=False``).  Error per entry is
+    |analytic - numeric| / (|numeric| + 1e-8).
+    """
+    if not x.requires_grad:
+        raise InputError("finite_difference_check needs x.requires_grad=True")
+    x.grad = None
+    ad.backward(f(x))
+    analytic = x.grad if x.grad is not None else np.zeros(x.shape)
+    analytic = analytic.copy()
+    numeric = np.zeros(x.shape)
+    base = x.values.copy()
+    for i, j in np.ndindex(*x.shape):
+        x.values[i, j] = base[i, j] + step
+        up = f(x).values[0, 0]
+        x.values[i, j] = base[i, j] - step
+        down = f(x).values[0, 0]
+        x.values[i, j] = base[i, j]
+        numeric[i, j] = (up - down) / (2.0 * step)
+    x.grad = None
+    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
+    return float(rel.max())
 
 
 def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:

@@ -20,13 +20,13 @@ from gssl.cli import ExperimentSpec, ModelSpec, run_experiment
 from gssl.data import save_dataset
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
                             gamma_from_mu, label_matrix, propagate_labels)
-from gssl.graph import add_self_loops, from_edge_list
+from gssl.graph import add_self_loops, from_edge_list, sym_normalize
 from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss,
                          softmax_predictions)
 from gssl.models import Model, ModelConfig, gat_forward, init_params
 
-from conftest import (barbell_graph, dataset_present, dataset_root, minimize_objective,
-                      normalized, random_connected_graph, random_graph,
+from conftest import (barbell_graph, dataset_present, dataset_root, finite_difference_check,
+                      minimize_objective, normalized, random_connected_graph, random_graph,
                       regularization_objective, two_blob_dataset)
 
 FD_TOL = 1e-4
@@ -103,27 +103,27 @@ def test_criterion_3_gradient_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     n, d, c = 7, 4, 3
-    g_sl = add_self_loops(random_graph(n, 0.4, seed=70))
     a_hat = normalized(random_graph(n, 0.4, seed=70))
     y = np.eye(c)[rng.integers(0, c, size=n)]
     labeled = [0, 3, 5]
+    y_labeled = label_matrix(y.argmax(axis=1), labeled, c)
     worst = {}
 
     def fd(name, fn, x):
-        err = ad.finite_difference_check(fn, x)
+        err = finite_difference_check(fn, x)
         worst[name] = err
         assert err < FD_TOL, f"{name}: {err:.2e}"
 
     # losses: supervised CE, combined CE (phi frozen), combined L2,
     # smoothness-only CE, and the normalized quadratic objective
-    fd("ce_fit", lambda x: ce_fit(softmax_predictions(x), y, labeled),
+    fd("ce_fit", lambda x: ce_fit(softmax_predictions(x), y_labeled),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("combined_ce",
-       lambda x: combined_loss(softmax_predictions(x), y, labeled, a_hat,
+       lambda x: combined_loss(softmax_predictions(x), y_labeled, a_hat,
                                LossConfig(mu=0.7, variant="cross_entropy")),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("combined_l2",
-       lambda x: combined_loss(x, y, labeled, a_hat, LossConfig(mu=0.9, variant="l2")),
+       lambda x: combined_loss(x, y_labeled, a_hat, LossConfig(mu=0.9, variant="l2")),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("ce_smooth", lambda x: ce_smooth(softmax_predictions(x), a_hat),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
@@ -139,7 +139,7 @@ def test_criterion_3_gradient_suite():
         x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
 
         def out_loss(_):
-            out = model.forward(x, graph=g_sl, a_hat=a_hat)
+            out = model.forward(x, a_hat)
             return ad.sum(ad.elementwise_mul(probe, out))
 
         for idx, p in enumerate(model.parameters()):
@@ -160,7 +160,7 @@ def test_criterion_4_normalization_invariants():
     cfg = ModelConfig(kind="gat", n_layers=2, hidden_dim=6)
     params = init_params(cfg, 5, 3, seed=81)
     x = Tensor(rng.normal(size=(30, 5)))
-    _, attentions = gat_forward(x, g_sl, params, cfg, return_attention=True)
+    _, attentions = gat_forward(x, sym_normalize(g_sl), params, cfg, return_attention=True)
     att_err = max(
         float(np.abs(np.add.reduceat(a.values[:, 0], g_sl.indptr[:-1]) - 1.0).max())
         for a in attentions)

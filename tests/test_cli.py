@@ -171,13 +171,22 @@ def test_run_single_split_reports_zero_std(tmp_path):
     assert table.rows[0].n_splits == 1
 
 
-def test_failed_cell_isolated(tmp_path):
+def test_failed_cell_isolated(tmp_path, monkeypatch):
+    # a bad layer count is rejected with the spec, so the failure is injected
     data_dir, _ = write_blobs(tmp_path, n_per=16, seed=6)
-    spec = tiny_spec(data_dir, tmp_path / "out", layer_counts=[0, 2],
+    real_train = gssl.cli.train
+
+    def train_failing_at_one_layer(model, ctx, split, cfg):
+        if model.cfg.n_layers == 1:
+            raise RuntimeError("injected")
+        return real_train(model, ctx, split, cfg)
+
+    monkeypatch.setattr(gssl.cli, "train", train_failing_at_one_layer)
+    spec = tiny_spec(data_dir, tmp_path / "out", layer_counts=[1, 2],
                      models=[ModelSpec("mlp", False)])
     table = run_experiment(spec, log=lambda *a, **k: None)
     by_layers = {r.n_layers: r for r in table.rows}
-    assert by_layers[0].status.startswith("failed")
+    assert by_layers[1].status.startswith("failed")
     assert by_layers[2].status == "ok"
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     assert "failed" in csv_text
@@ -247,8 +256,7 @@ def test_export_applies_the_checkpoint_preprocessing(tmp_path):
     cmd_export_embeddings(ckpt, data_dir, tmp_path / "emb.csv", log=quiet)
     exported = np.loadtxt(tmp_path / "emb.csv", delimiter=",", skiprows=1)[:, 1:]
     ctx = DataContext.from_dataset(load_dataset(data_dir))
-    expected = hidden_embedding(load_checkpoint(ckpt), ctx.x, graph=ctx.graph_sl,
-                                a_hat=ctx.a_hat).values
+    expected = hidden_embedding(load_checkpoint(ckpt), ctx.x, ctx.a_hat).values
     assert np.array_equal(exported, expected)
 
 
@@ -278,14 +286,40 @@ def test_run_via_main_and_spec_file(tmp_path):
     ('{"dataset": "d", "models": [{"kind": "mlp", "layers": 2}]}', "'layers'"),
     ('{"dataset": "d", "models": [{"regularized": true}]}', "'kind'"),
     ('{"dataset": "d", "models": ["mlp"]}', "must be a mapping, not str"),
-    ('{"dataset": "d", "models": 3}', "'int' object is not iterable"),
+    ('{"dataset": "d", "models": 3}', "'models' must be list[ModelSpec], got 3"),
     ('["d"]', "must be a mapping, not list"),
-    ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_splits": "3"}', "not supported"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_splits": "3"}',
+     "'n_splits' must be int, got '3'"),
     ('{"dataset": "d", "models": [', "cannot read spec"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": 20}', "'ell' must be list[int], got 20"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_splits": true}',
+     "'n_splits' must be int, got True"),
+    ('{"dataset": "d", "models": [{"kind": "mlp", "regularized": 1}]}',
+     "'regularized' must be bool, got 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "layer_counts": []}',
+     "layer_counts must not be empty"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "lr": 0}', "lr must be positive"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "lr": NaN}', "lr must be positive"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "weight_decay": -1}',
+     "weight_decay must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "dropout": 1.5}', "dropout must be in [0, 1)"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "layer_counts": [0]}', "n_layers must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [-1]}', "mu must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [NaN]}', "mu must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "val_size": 0}',
+     "val_size and test_size must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "test_size": 0}',
+     "val_size and test_size must be >= 1"),
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
-        "malformed-json"])
-def test_bad_spec_file_is_input_error_exit_2(tmp_path, capsys, text, named):
+        "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
+        "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
+        "negative-mu", "nan-mu", "val-size-zero", "test-size-zero"])
+def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
+    def no_load(*args):
+        raise AssertionError("a bad spec reached the dataset loader")
+
+    monkeypatch.setattr(gssl.cli, "_load_context", no_load)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(named)):

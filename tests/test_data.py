@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gssl.data import (LabeledDataset, Split, load_dataset, load_splits,
-                       make_splits, one_hot, row_normalize_features,
+                       make_splits, row_normalize_features,
                        save_dataset, save_splits)
 from gssl.errors import InputError
 from gssl.graph import degrees
@@ -164,11 +164,6 @@ def test_row_normalize_examples():
     assert np.array_equal(normed.features[1], [0.0, 0.0])
     sums = normed.features.sum(axis=1)
     assert set(np.round(sums, 12).tolist()) <= {0.0, 1.0}
-
-
-def test_one_hot():
-    out = one_hot(np.array([0, 2, 1]), 3)
-    assert out.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
 
 # ------------------------------------------------- real datasets (gated)

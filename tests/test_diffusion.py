@@ -18,6 +18,13 @@ def test_label_matrix_shape_and_rows():
     assert y[3, 2] == 1.0
 
 
+def test_label_matrix_rejects_out_of_range_index():
+    labels = np.array([0, 1, 0])
+    for bad in ([3], [-1]):
+        with pytest.raises(InputError, match="out of range"):
+            label_matrix(labels, bad, 2)
+
+
 def test_gamma_from_mu():
     assert gamma_from_mu(0.0) == 1.0
     assert gamma_from_mu(1.0) == 0.5

@@ -14,7 +14,6 @@ def test_from_edge_list_path_graph():
     g = from_edge_list([(0, 1), (1, 2)], 3)
     assert g.nnz == 4  # symmetrization forced
     assert degrees(g).tolist() == [1.0, 2.0, 1.0]
-    assert g.binary_input
 
 
 def test_from_edge_list_dedups_and_binarizes():

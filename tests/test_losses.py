@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 import gssl.autodiff as ad
 from gssl.autodiff import Tensor
+from gssl.diffusion import label_matrix
 from gssl.errors import InputError
 from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss, l2_fit,
                          l2_smooth, one_hot_argmax, softmax_predictions)
 
-from conftest import normalized, random_graph
+from conftest import finite_difference_check, normalized, random_graph
 
 FD_TOL = 1e-4
 
@@ -80,34 +81,28 @@ def test_softmax_shift_invariance_and_argmax():
 
 def test_ce_fit_exact_one_hot_contributes_zero():
     z = Tensor([[0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
-    y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    assert ce_fit(z, y, [0]).values[0, 0] == 0.0
+    y = label_matrix([1, 0], [0], 3)
+    assert ce_fit(z, y).values[0, 0] == 0.0
 
 
 def test_ce_fit_uniform_is_log_c():
     c = 5
     z = Tensor(np.full((3, c), 1.0 / c))
-    y = np.eye(c)[[0, 1, 2]]
-    assert np.isclose(ce_fit(z, y, [1]).values[0, 0], np.log(c))
+    y = label_matrix([0, 1, 2], [1], c)
+    assert np.isclose(ce_fit(z, y).values[0, 0], np.log(c))
 
 
 def test_ce_fit_empty_labeled_set_is_zero():
     z = Tensor(np.full((3, 2), 0.5))
-    y = np.eye(2)[[0, 1, 0]]
-    assert ce_fit(z, y, []).values[0, 0] == 0.0
-
-
-def test_ce_fit_rejects_bad_index():
-    z = Tensor(np.full((3, 2), 0.5))
-    with pytest.raises(InputError):
-        ce_fit(z, np.eye(2)[[0, 1, 0]], [3])
+    y = label_matrix([0, 1, 0], [], 2)
+    assert ce_fit(z, y).values[0, 0] == 0.0
 
 
 # ------------------------------------------------------------------ l2
 
 def test_l2_fit_zero_when_matching():
     y = np.eye(3)[[0, 1, 2, 0]]
-    assert l2_fit(Tensor(y), y, [0, 1, 2, 3]).values[0, 0] == 0.0
+    assert l2_fit(Tensor(y), y).values[0, 0] == 0.0
 
 
 def test_l2_smooth_constant_rows_give_zero():
@@ -138,7 +133,7 @@ def test_l2_smooth_matches_loop_with_and_without_self_pairs():
     for include in (True, False):
         assert np.isclose(ours, loop_l2_smooth(z, dense, include), rtol=1e-10)
         cfg = LossConfig(mu=1.0, variant="l2", include_self_loops=include)
-        combined = combined_loss(Tensor(z), np.zeros_like(z), [], a_hat, cfg).values[0, 0]
+        combined = combined_loss(Tensor(z), np.zeros_like(z), a_hat, cfg).values[0, 0]
         assert np.isclose(combined, ours, rtol=1e-12)
 
 
@@ -244,22 +239,21 @@ def test_combined_mu_zero_recovers_fit_exactly():
     rng = np.random.default_rng(10)
     a_hat = normalized(random_graph(8, 0.3, seed=4))
     z_vals = random_distribution(rng, 8, 3)
-    y = np.eye(3)[rng.integers(0, 3, size=8)]
-    labeled = [0, 2, 5]
+    y = label_matrix(rng.integers(0, 3, size=8), [0, 2, 5], 3)
     for variant, fit_fn in (("cross_entropy", ce_fit), ("l2", l2_fit)):
         cfg = LossConfig(mu=0.0, variant=variant)
-        ours = combined_loss(Tensor(z_vals), y, labeled, a_hat, cfg).values[0, 0]
-        assert ours == fit_fn(Tensor(z_vals), y, labeled).values[0, 0]
+        ours = combined_loss(Tensor(z_vals), y, a_hat, cfg).values[0, 0]
+        assert ours == fit_fn(Tensor(z_vals), y).values[0, 0]
 
 
 def test_combined_l2_matches_scalar_loop_eq_form():
     rng = np.random.default_rng(11)
     a_hat = normalized(random_graph(15, 0.25, seed=6))
     z = random_distribution(rng, 15, 3)
-    y = np.eye(3)[rng.integers(0, 3, size=15)]
     labeled = [1, 4, 9, 12]
+    y = label_matrix(rng.integers(0, 3, size=15), labeled, 3)
     cfg = LossConfig(mu=1.0, variant="l2")
-    ours = combined_loss(Tensor(z), y, labeled, a_hat, cfg).values[0, 0]
+    ours = combined_loss(Tensor(z), y, a_hat, cfg).values[0, 0]
     assert np.isclose(ours, loop_combined_l2(z, y, labeled, a_hat.to_dense(), 1.0), rtol=1e-10)
 
 
@@ -267,9 +261,9 @@ def test_combined_loss_monotone_in_mu():
     rng = np.random.default_rng(12)
     a_hat = normalized(random_graph(10, 0.3, seed=7))
     z = Tensor(random_distribution(rng, 10, 3))
-    y = np.eye(3)[rng.integers(0, 3, size=10)]
+    y = label_matrix(rng.integers(0, 3, size=10), [0, 1], 3)
     values = [
-        combined_loss(z, y, [0, 1], a_hat, LossConfig(mu=mu)).values[0, 0]
+        combined_loss(z, y, a_hat, LossConfig(mu=mu)).values[0, 0]
         for mu in (0.0, 0.1, 0.5, 1.0, 2.0)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -283,30 +277,29 @@ def margin_ok(z, margin=1e-3):
 def test_combined_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     a_hat = normalized(random_graph(7, 0.4, seed=8))
-    y = np.eye(3)[rng.integers(0, 3, size=7)]
-    labeled = [0, 3]
+    y = label_matrix(rng.integers(0, 3, size=7), [0, 3], 3)
     cfg = LossConfig(mu=0.7, variant="cross_entropy")
 
     def f(x):
-        return combined_loss(softmax_predictions(x), y, labeled, a_hat, cfg)
+        return combined_loss(softmax_predictions(x), y, a_hat, cfg)
 
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     # keep argmax stable under the +-1e-5 probes so phi stays fixed
     assert margin_ok(softmax_predictions(x).values)
-    assert ad.finite_difference_check(f, x) < FD_TOL
+    assert finite_difference_check(f, x) < FD_TOL
 
 
 def test_combined_l2_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     a_hat = normalized(random_graph(7, 0.4, seed=9))
-    y = np.eye(3)[rng.integers(0, 3, size=7)]
+    y = label_matrix(rng.integers(0, 3, size=7), [1, 5], 3)
     cfg = LossConfig(mu=0.5, variant="l2")
 
     def f(x):
-        return combined_loss(x, y, [1, 5], a_hat, cfg)
+        return combined_loss(x, y, a_hat, cfg)
 
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-    assert ad.finite_difference_check(f, x) < FD_TOL
+    assert finite_difference_check(f, x) < FD_TOL
 
 
 def test_combined_loss_of_one_layer_model_matches_finite_differences():
@@ -318,17 +311,17 @@ def test_combined_loss_of_one_layer_model_matches_finite_differences():
     g = random_graph(10, 0.3, seed=11)
     a_hat = normalized(g)
     x = Tensor(rng.normal(size=(10, 4)))
-    y = np.eye(3)[rng.integers(0, 3, size=10)]
+    y = label_matrix(rng.integers(0, 3, size=10), [0, 4, 7], 3)
     model = Model.init(ModelConfig(kind="gcn", n_layers=1), 4, 3, seed=12)
     cfg = LossConfig(mu=0.5, variant="cross_entropy")
 
     def f(_):
-        z = softmax_predictions(model.forward(x, a_hat=a_hat))
-        return combined_loss(z, y, [0, 4, 7], a_hat, cfg)
+        z = softmax_predictions(model.forward(x, a_hat))
+        return combined_loss(z, y, a_hat, cfg)
 
     weight = model.params[0].weight
-    assert margin_ok(softmax_predictions(model.forward(x, a_hat=a_hat)).values)
-    assert ad.finite_difference_check(f, weight) < FD_TOL
+    assert margin_ok(softmax_predictions(model.forward(x, a_hat)).values)
+    assert finite_difference_check(f, weight) < FD_TOL
 
 
 def test_ce_smooth_gradient_matches_finite_differences():
@@ -340,7 +333,7 @@ def test_ce_smooth_gradient_matches_finite_differences():
 
     x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     assert margin_ok(softmax_predictions(x).values)
-    assert ad.finite_difference_check(f, x) < FD_TOL
+    assert finite_difference_check(f, x) < FD_TOL
 
 
 def test_loss_config_validation():

@@ -4,12 +4,12 @@ import pytest
 import gssl.autodiff as ad
 from gssl.autodiff import Tensor
 from gssl.errors import InputError
-from gssl.graph import add_self_loops, from_edge_list
+from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.models import (LayerParams, Model, ModelConfig, appnp_forward,
                          gat_forward, gcn_forward, glorot_init, hidden_embedding,
                          init_params, load_checkpoint, mlp_forward, save_checkpoint)
 
-from conftest import normalized, random_connected_graph, random_graph
+from conftest import finite_difference_check, normalized, random_connected_graph, random_graph
 
 FD_TOL = 1e-4
 
@@ -97,33 +97,34 @@ def test_gcn_single_isolated_node_is_linear_chain():
 def test_gat_requires_self_loops():
     cfg = ModelConfig(kind="gat", n_layers=1)
     params = init_params(cfg, 3, 2, seed=4)
-    g = from_edge_list([(0, 1)], 2)
+    # the normalized edge (0, 1) alone, without the diagonal entries
+    a_hat = NormalizedAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
     with pytest.raises(InputError, match="self-loop"):
-        gat_forward(Tensor(np.zeros((2, 3))), g, params, cfg)
+        gat_forward(Tensor(np.zeros((2, 3))), a_hat, params, cfg)
 
 
 def test_gat_zero_attention_reduces_to_mean_aggregation():
-    g = add_self_loops(random_graph(9, 0.4, seed=5))
+    a_hat = normalized(random_graph(9, 0.4, seed=5))
     cfg = ModelConfig(kind="gat", n_layers=1)
     params = init_params(cfg, 4, 3, seed=6)
     params[0].attn.values[:] = 0.0
     x_vals = np.random.default_rng(3).normal(size=(9, 4))
-    out = gat_forward(Tensor(x_vals), g, params, cfg)
+    out = gat_forward(Tensor(x_vals), a_hat, params, cfg)
     wh = x_vals @ params[0].weight.values + params[0].bias.values
-    dense = g.to_dense()
+    dense = (a_hat.to_dense() != 0).astype(float)  # the self-looped edge set
     mean_agg = (dense / dense.sum(axis=1, keepdims=True)) @ wh
     assert np.allclose(out.values, mean_agg, atol=1e-12)
 
 
 def test_gat_attention_rows_sum_to_one():
-    g = add_self_loops(random_graph(12, 0.3, seed=7))
+    a_hat = normalized(random_graph(12, 0.3, seed=7))
     cfg = ModelConfig(kind="gat", n_layers=2, hidden_dim=6)
     params = init_params(cfg, 5, 3, seed=8)
     x = Tensor(np.random.default_rng(4).normal(size=(12, 5)))
-    _, attentions = gat_forward(x, g, params, cfg, return_attention=True)
+    _, attentions = gat_forward(x, a_hat, params, cfg, return_attention=True)
     assert len(attentions) == 2
     for alpha in attentions:
-        sums = np.add.reduceat(alpha.values[:, 0], g.indptr[:-1])
+        sums = np.add.reduceat(alpha.values[:, 0], a_hat.indptr[:-1])
         assert np.abs(sums - 1.0).max() < 1e-10
 
 
@@ -182,9 +183,7 @@ def test_forward_is_permutation_equivariant(kind):
     model = Model.init(cfg, d, c, seed=15)
 
     def run(p, xv):
-        g = from_edge_list(p, n)
-        g_sl = add_self_loops(g)
-        return model.forward(Tensor(xv), graph=g_sl, a_hat=normalized(g)).values
+        return model.forward(Tensor(xv), normalized(from_edge_list(p, n))).values
 
     base = run(pairs, x_vals)
     permuted_pairs, permuted_x = permute_inputs(pairs, n, x_vals, perm)
@@ -198,7 +197,6 @@ def test_forward_is_permutation_equivariant(kind):
 def test_layer_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(9)
     n, d, c = 7, 4, 3
-    g_sl = add_self_loops(random_graph(n, 0.4, seed=16))
     a_hat = normalized(random_graph(n, 0.4, seed=16))
     cfg = ModelConfig(kind=kind, n_layers=2, hidden_dim=5)
     model = Model.init(cfg, d, c, seed=17)
@@ -206,11 +204,11 @@ def test_layer_gradients_match_finite_differences(kind):
     probe = Tensor(rng.normal(size=(n, c)))
 
     def loss_through(_):
-        out = model.forward(x, graph=g_sl, a_hat=a_hat)
+        out = model.forward(x, a_hat)
         return ad.sum(ad.elementwise_mul(probe, out))
 
     for target in model.parameters():
-        assert ad.finite_difference_check(loss_through, target) < FD_TOL
+        assert finite_difference_check(loss_through, target) < FD_TOL
 
 
 def test_model_init_deterministic():
