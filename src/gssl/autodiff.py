@@ -211,20 +211,21 @@ def sum(a: Tensor) -> Tensor:
     return _result(np.array([[a.values.sum()]]), "sum", (a,), vjp)
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng=None) -> Tensor:
+def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     """Inverted dropout: surviving entries are scaled by 1/(1-rate).
 
-    With ``training=False`` or ``rate=0`` this is the exact identity (the
-    input tensor is returned unchanged).  ``rng`` may be an int seed or a
-    ``numpy.random.Generator``; a fixed seed gives a fixed mask.
+    The caller applies it only when training.  With ``rate=0`` this is the
+    exact identity (the input tensor is returned unchanged).  ``rng`` may
+    be an int seed or a ``numpy.random.Generator``; a fixed seed gives a
+    fixed mask.
     """
     _check_tensor(a, "dropout")
     if not 0.0 <= rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
     if rng is None:
-        raise InputError("dropout in training mode needs a seed or Generator")
+        raise InputError("dropout needs a seed or Generator")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     keep = gen.random(a.shape) >= rate
     factor = 1.0 / (1.0 - rate)

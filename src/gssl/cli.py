@@ -26,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset, load_dataset, make_splits, row_normalize_features, save_splits
+from .data import (TEST_SIZE, VAL_SIZE, LabeledDataset, load_dataset, make_splits,
+                   row_normalize_features, save_splits)
 from .diffusion import DiffusionConfig, label_matrix, propagate_labels
 from .errors import GsslError, InputError
 from .losses import LossConfig
-from .models import (KINDS, Model, ModelConfig, hidden_embedding, load_checkpoint,
-                     load_preprocessing, save_checkpoint)
+from .models import (Model, ModelConfig, hidden_embedding, load_checkpoint, load_preprocessing,
+                     save_checkpoint)
 from .trainer import DataContext, TrainConfig, train
 
 __all__ = [
@@ -100,8 +101,6 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_json_types(self)
-        if self.kind not in KINDS:
-            raise InputError(f"unknown model kind {self.kind!r}")
 
     @property
     def label(self) -> str:
@@ -129,8 +128,8 @@ class ExperimentSpec:
     appnp_alpha: float = 0.1
     appnp_k: int = 10
     normalize_features: bool = True
-    val_size: int = 500
-    test_size: int = 1000
+    val_size: int = VAL_SIZE
+    test_size: int = TEST_SIZE
     workers: int = 1
     save_checkpoints: bool = False
 
@@ -146,6 +145,8 @@ class ExperimentSpec:
         for name in ("ell", "layer_counts", "mu_grid"):
             if not getattr(self, name):
                 raise InputError(f"{name} must not be empty")
+        if min(self.ell) < 1:
+            raise InputError("ell must be >= 1")
         if self.val_size < 1 or self.test_size < 1:
             raise InputError("val_size and test_size must be >= 1")
         # Build the configs the runs will use, so that their own checks apply.
@@ -400,7 +401,7 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
 
 def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
                   solver: str = "iterative", tol: float = 1e-8,
-                  val_size: int = 500, test_size: int = 1000, log=print) -> float:
+                  val_size: int = VAL_SIZE, test_size: int = TEST_SIZE, log=print) -> float:
     """Label propagation on one split; returns and prints the accuracy.
 
     Accuracy is measured on the split's test set when it is non-empty,
@@ -480,8 +481,8 @@ def main(argv=None) -> int:
     p_prop.add_argument("--gamma", type=float, default=0.2)
     p_prop.add_argument("--seed", type=int, default=0)
     p_prop.add_argument("--solver", choices=("iterative", "direct"), default="iterative")
-    p_prop.add_argument("--val-size", type=int, default=500)
-    p_prop.add_argument("--test-size", type=int, default=1000)
+    p_prop.add_argument("--val-size", type=int, default=VAL_SIZE)
+    p_prop.add_argument("--test-size", type=int, default=TEST_SIZE)
 
     p_exp = sub.add_parser("export-embeddings", help="export hidden activations")
     p_exp.add_argument("--checkpoint", required=True)
@@ -496,8 +497,8 @@ def main(argv=None) -> int:
     p_mk.add_argument("--ell", type=int, required=True)
     p_mk.add_argument("--n-splits", type=int, default=10)
     p_mk.add_argument("--seed", type=int, default=0)
-    p_mk.add_argument("--val-size", type=int, default=500)
-    p_mk.add_argument("--test-size", type=int, default=1000)
+    p_mk.add_argument("--val-size", type=int, default=VAL_SIZE)
+    p_mk.add_argument("--test-size", type=int, default=TEST_SIZE)
     p_mk.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

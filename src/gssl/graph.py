@@ -58,9 +58,6 @@ class _Csr:
         n = self.n_nodes
         return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(n, n))
 
-    def to_dense(self) -> np.ndarray:
-        return self.scipy.toarray()
-
     def row_index_per_entry(self) -> np.ndarray:
         """Row id of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))

@@ -28,7 +28,6 @@ from .graph import NormalizedAdjacency
 
 __all__ = [
     "LossConfig",
-    "softmax_predictions",
     "ce_fit",
     "l2_fit",
     "l2_smooth",
@@ -53,11 +52,6 @@ class LossConfig:
             raise InputError(f"mu must be >= 0, got {self.mu}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown loss variant {self.variant!r}")
-
-
-def softmax_predictions(logits: Tensor) -> Tensor:
-    """Row-wise softmax: each row becomes a probability distribution."""
-    return ad.row_softmax(logits)
 
 
 def _as_array(y) -> np.ndarray:

@@ -1,19 +1,20 @@
-"""Forward definitions of the graph models: MLP, GCN, single-head GAT, APPNP.
+"""The graph models MLP, GCN, single-head GAT and APPNP, and their checkpoints.
 
-All models share the same stacked-layer skeleton: dropout is applied to
-the input of every hidden layer when training, ReLU sits between layers
-and never after the last one, and the final layer emits raw logits
-(softmax lives in :mod:`gssl.losses`).  Every graph model takes the
-normalized adjacency A_hat: GCN and APPNP aggregate through its values,
-GAT computes its own attention weights over its stored entries, which are
-the self-looped edge structure.
+Every kind runs the same forward pass, :meth:`Model.forward`: per layer,
+dropout on the input of every hidden layer when training, then the
+kind's layer from one table (dense, GCN or GAT aggregation), then ReLU
+after every layer but the last; APPNP then propagates K steps.  The
+final layer emits raw logits; the trainer applies the row softmax.
+Every graph model takes the normalized adjacency A_hat: GCN and APPNP
+aggregate through its values, GAT computes its own attention weights
+over its stored entries, which are the self-looped edge structure.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,10 +30,7 @@ __all__ = [
     "Model",
     "glorot_init",
     "init_params",
-    "mlp_forward",
-    "gcn_forward",
-    "gat_forward",
-    "appnp_forward",
+    "gat_attention",
     "hidden_embedding",
     "save_checkpoint",
     "load_checkpoint",
@@ -73,11 +71,11 @@ class LayerParams:
     bias: Tensor
     attn: Tensor | None = None
 
-    def tensors(self) -> list[Tensor]:
-        out = [self.weight, self.bias]
-        if self.attn is not None:
-            out.append(self.attn)
-        return out
+    def named(self) -> list[tuple[str, Tensor]]:
+        """The layer's (name, tensor) pairs in field order, ``attn`` only for GAT:
+        the parameter layout that training, weight decay and checkpoints share."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None]
 
 
 def glorot_init(d_in: int, d_out: int, seed) -> Tensor:
@@ -109,75 +107,40 @@ def init_params(cfg: ModelConfig, d_in: int, n_classes: int, seed) -> list[Layer
     return params
 
 
-def _stack_forward(x, params, cfg, layer_fn, training, rng, return_hidden):
-    h = x
-    hidden = None
-    last = len(params) - 1
-    for l, p in enumerate(params):
-        if training and l < last:
-            h = ad.dropout(h, cfg.dropout, training, rng)
-        h = layer_fn(h, p)
-        if l < last:
-            h = ad.relu(h)
-            hidden = h
-    return (h, hidden) if return_hidden else h
+def _dense(h, p, a_hat, cfg):
+    """H W + b."""
+    return ad.add(ad.matmul(h, p.weight), p.bias)
 
 
-def mlp_forward(x, params, cfg, training=False, rng=None, return_hidden=False):
-    """Plain fully-connected stack; returns n x n_classes logits."""
-    def layer(h, p):
-        return ad.add(ad.matmul(h, p.weight), p.bias)
-
-    return _stack_forward(x, params, cfg, layer, training, rng, return_hidden)
+def _gcn(h, p, a_hat, cfg):
+    """A_hat (H W) + b."""
+    return ad.add(ad.spmm(a_hat, ad.matmul(h, p.weight)), p.bias)
 
 
-def gcn_forward(x, a_hat, params, cfg, training=False, rng=None, return_hidden=False):
-    """Per layer: A_hat @ (H W) + b, ReLU between layers."""
-    def layer(h, p):
-        return ad.add(ad.spmm(a_hat, ad.matmul(h, p.weight)), p.bias)
+def gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency, cfg: ModelConfig) -> Tensor:
+    """Attention weight of every stored entry (v, u) of A_hat, as an nnz x 1 column.
 
-    return _stack_forward(x, params, cfg, layer, training, rng, return_hidden)
-
-
-def gat_forward(x, a_hat: NormalizedAdjacency, params, cfg, training=False, rng=None,
-                return_hidden=False, return_attention=False):
-    """Single-head attention aggregation over A_hat's stored entries.
-
-    Only the pattern of A_hat is read, not its values.  Per stored entry
-    (v, u): score = LeakyReLU(attn . [W h_v || W h_u]), normalized by
-    softmax over v's entries, then h'_v = sum_u alpha_vu (W h_u + bias).
-    Since attention rows sum to 1, folding the bias into the aggregated
-    term equals adding it afterwards.
+    Only the pattern of A_hat is read, not its values:
+    score = LeakyReLU(attn . [wh_v || wh_u]), normalized by softmax over
+    v's entries, which must include (v, v).
     """
     if not a_hat.has_all_self_loops:
-        raise InputError("gat_forward needs a self-looped adjacency (apply add_self_loops)")
-    rows = a_hat.row_index_per_entry()
-    attentions = []
-
-    def layer(h, p):
-        wh = ad.add(ad.matmul(h, p.weight), p.bias)
-        per_edge = ad.concat_cols(ad.gather_rows(wh, rows), ad.gather_rows(wh, a_hat.indices))
-        scores = ad.leaky_relu(ad.matmul(per_edge, p.attn), cfg.leaky_slope)
-        alpha = ad.edge_softmax(scores, a_hat)
-        attentions.append(alpha)
-        return ad.edge_aggregate(alpha, wh, a_hat)
-
-    out = _stack_forward(x, params, cfg, layer, training, rng, return_hidden)
-    if return_attention:
-        return (*out, attentions) if return_hidden else (out, attentions)
-    return out
+        raise InputError("GAT needs a self-looped adjacency (apply add_self_loops)")
+    per_edge = ad.concat_cols(ad.gather_rows(wh, a_hat.row_index_per_entry()),
+                              ad.gather_rows(wh, a_hat.indices))
+    scores = ad.leaky_relu(ad.matmul(per_edge, attn), cfg.leaky_slope)
+    return ad.edge_softmax(scores, a_hat)
 
 
-def appnp_forward(x, a_hat, params, cfg, training=False, rng=None, return_hidden=False):
-    """MLP trunk followed by K propagation steps
-    Z <- (1 - alpha) A_hat Z + alpha H, starting from Z = H."""
-    res = mlp_forward(x, params, cfg, training, rng, return_hidden=True)
-    h, hidden = res
-    z = h
-    for _ in range(cfg.appnp_k):
-        z = ad.add(ad.scale(ad.spmm(a_hat, z), 1.0 - cfg.appnp_alpha),
-                   ad.scale(h, cfg.appnp_alpha))
-    return (z, hidden) if return_hidden else z
+def _gat(h, p, a_hat, cfg):
+    """h'_v = sum_u alpha_vu (W h_u + b).  Attention rows sum to 1, so folding
+    the bias into the aggregated term equals adding it afterwards."""
+    wh = _dense(h, p, a_hat, cfg)
+    return ad.edge_aggregate(gat_attention(wh, p.attn, a_hat, cfg), wh, a_hat)
+
+
+# How one layer of each kind aggregates; APPNP propagates after the last layer.
+_LAYERS = {"mlp": _dense, "gcn": _gcn, "gat": _gat, "appnp": _dense}
 
 
 @dataclass
@@ -193,23 +156,32 @@ class Model:
 
     def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
                 return_hidden=False):
-        """Logits; every kind but MLP needs ``a_hat``."""
-        if self.cfg.kind == "mlp":
-            return mlp_forward(x, self.params, self.cfg, training, rng, return_hidden)
-        graph_forward = {"gcn": gcn_forward, "gat": gat_forward, "appnp": appnp_forward}
-        return graph_forward[self.cfg.kind](x, a_hat, self.params, self.cfg, training, rng,
-                                            return_hidden)
+        """Logits (n x n_classes), and with ``return_hidden`` also the
+        penultimate activations; every kind but MLP needs ``a_hat``."""
+        cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
+        h, hidden = x, None
+        last = len(self.params) - 1
+        for l, p in enumerate(self.params):
+            if training and l < last:
+                h = ad.dropout(h, cfg.dropout, rng)
+            h = layer(h, p, a_hat, cfg)
+            if l < last:
+                h = hidden = ad.relu(h)
+        if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
+            z = h
+            for _ in range(cfg.appnp_k):
+                z = ad.add(ad.scale(ad.spmm(a_hat, z), 1.0 - cfg.appnp_alpha),
+                           ad.scale(h, cfg.appnp_alpha))
+            h = z
+        return (h, hidden) if return_hidden else h
 
     def parameters(self) -> list[Tensor]:
-        return [t for p in self.params for t in p.tensors()]
+        return [t for p in self.params for _, t in p.named()]
 
     def decay_mask(self) -> list[bool]:
         """True for tensors subject to L2 weight decay (weights and
         attention vectors, not biases)."""
-        out = []
-        for p in self.params:
-            out.extend([True, False] + ([True] if p.attn is not None else []))
-        return out
+        return [name != "bias" for p in self.params for name, _ in p.named()]
 
     def state_values(self) -> list[np.ndarray]:
         return [t.values.copy() for t in self.parameters()]
@@ -233,20 +205,10 @@ def save_checkpoint(model: Model, path, preprocessing: dict | None = None) -> No
 
     Entries carry a fixed timestamp, so equal parameters give equal bytes.
     """
-    cfg = model.cfg
-    meta = {
-        "kind": cfg.kind, "n_layers": cfg.n_layers, "hidden_dim": cfg.hidden_dim,
-        "dropout": cfg.dropout, "appnp_alpha": cfg.appnp_alpha,
-        "appnp_k": cfg.appnp_k, "leaky_slope": cfg.leaky_slope,
-    }
-    entries = {"config": _json_bytes(meta)}
+    entries = {"config": _json_bytes(asdict(model.cfg))}
     if preprocessing is not None:
         entries["preprocessing"] = _json_bytes(preprocessing)
-    for i, p in enumerate(model.params):
-        entries[f"weight_{i}"] = p.weight.values
-        entries[f"bias_{i}"] = p.bias.values
-        if p.attn is not None:
-            entries[f"attn_{i}"] = p.attn.values
+    entries.update((name, t.values) for name, t in _checkpoint_entries(model))
     with zipfile.ZipFile(path, "w") as zf:
         for name, values in entries.items():
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -258,19 +220,20 @@ def _json_bytes(obj) -> np.ndarray:
     return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
 
 
+def _checkpoint_entries(model: Model) -> list[tuple[str, Tensor]]:
+    """``<name>_<layer>`` and the tensor of every parameter, in parameter order."""
+    return [(f"{name}_{i}", t) for i, p in enumerate(model.params) for name, t in p.named()]
+
+
 def load_checkpoint(path) -> Model:
+    """The model :func:`save_checkpoint` wrote; non-finite parameters raise NumericError."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["config"]).decode())
-        cfg = ModelConfig(**meta)
-        params = []
-        for i in range(cfg.n_layers):
-            weight = Tensor(data[f"weight_{i}"], requires_grad=True)
-            bias = Tensor(data[f"bias_{i}"], requires_grad=True)
-            attn = None
-            if f"attn_{i}" in data:
-                attn = Tensor(data[f"attn_{i}"], requires_grad=True)
-            params.append(LayerParams(weight, bias, attn))
-    return Model(cfg, params)
+        cfg = ModelConfig(**json.loads(bytes(data["config"]).decode()))
+        d_in, n_classes = data["weight_0"].shape[0], data[f"weight_{cfg.n_layers - 1}"].shape[1]
+        model = Model.init(cfg, d_in, n_classes, seed=0)
+        model.load_state_values(
+            [Tensor(data[name]).values for name, _ in _checkpoint_entries(model)])
+    return model
 
 
 def load_preprocessing(path) -> dict:

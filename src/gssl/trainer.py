@@ -17,7 +17,7 @@ from .data import LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
 from .graph import NormalizedAdjacency, add_self_loops, sym_normalize
-from .losses import LossConfig, combined_loss, softmax_predictions
+from .losses import LossConfig, combined_loss
 from .models import Model
 
 __all__ = [
@@ -195,13 +195,13 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
             p.grad = None
         try:
             logits = ctx.forward(model, training=True, rng=rng)
-            z = softmax_predictions(logits)
+            z = ad.row_softmax(logits)
             loss = combined_loss(z, y_train, ctx.a_hat, cfg.loss)
             ad.backward(loss)
             adam_step(params, state, cfg, decay_mask)
 
             eval_logits = ctx.forward(model, training=False)
-            z_eval = softmax_predictions(eval_logits)
+            z_eval = ad.row_softmax(eval_logits)
             val_loss = float(
                 combined_loss(z_eval, y_val, ctx.a_hat, cfg.loss).values[0, 0])
             val_acc = accuracy(eval_logits.values, ctx.labels, split.val)

@@ -1,5 +1,6 @@
 """Shared builders: random graphs, the barbell graph, toy datasets, the
-gate for optional real-dataset directories, the finite-difference gradient
+gate for optional real-dataset directories, the dense matrix of a small
+graph and a guard that forbids densifying, the finite-difference gradient
 check, and independent routes to the diffusion solution (dense Cholesky
 solve, gradient descent on the quadratic objective) that the library's
 solvers are checked against."""
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from gssl import autodiff as ad
 from gssl.autodiff import Tensor
@@ -39,6 +41,20 @@ def random_connected_graph(n, seed, extra_p=0.1) -> Graph:
 
 def normalized(g: Graph):
     return sym_normalize(add_self_loops(g))
+
+
+def dense(adj) -> np.ndarray:
+    """The n x n matrix of a graph or operator, for checks on small graphs."""
+    return adj.scipy.toarray()
+
+
+def forbid_densifying(monkeypatch, what: str) -> None:
+    """Make densifying a scipy CSR matrix, the form of every library graph, raise."""
+    def no_dense(*args, **kwargs):
+        raise AssertionError(f"{what} built a dense n x n matrix")
+
+    for name in ("toarray", "todense"):
+        monkeypatch.setattr(scipy.sparse.csr_matrix, name, no_dense)
 
 
 def barbell_pairs(k=5):
@@ -114,7 +130,7 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be a deterministic scalar-valued function of ``x`` (run
-    dropout with ``training=False``).  Error per entry is
+    models with ``training=False``, dropout with a fixed seed).  Error per entry is
     |analytic - numeric| / (|numeric| + 1e-8).
     """
     if not x.requires_grad:
@@ -139,7 +155,7 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
 
 def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     """Oracle: dense Cholesky solve of (I - (1-gamma) A_hat) Z = gamma Y."""
-    system = np.eye(a_hat.n_nodes) - (1.0 - gamma) * a_hat.to_dense()
+    system = np.eye(a_hat.n_nodes) - (1.0 - gamma) * dense(a_hat)
     return gamma * scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), y)
 
 

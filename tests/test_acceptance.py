@@ -21,11 +21,10 @@ from gssl.data import save_dataset
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
                             gamma_from_mu, label_matrix, propagate_labels)
 from gssl.graph import add_self_loops, from_edge_list, sym_normalize
-from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss,
-                         softmax_predictions)
-from gssl.models import Model, ModelConfig, gat_forward, init_params
+from gssl.losses import LossConfig, ce_fit, ce_smooth, combined_loss
+from gssl.models import Model, ModelConfig, gat_attention, hidden_embedding
 
-from conftest import (barbell_graph, dataset_present, dataset_root, finite_difference_check,
+from conftest import (barbell_graph, dataset_present, dataset_root, dense, finite_difference_check,
                       minimize_objective, normalized, random_connected_graph, random_graph,
                       regularization_objective, two_blob_dataset)
 
@@ -116,16 +115,16 @@ def test_criterion_3_gradient_suite():
 
     # losses: supervised CE, combined CE (phi frozen), combined L2,
     # smoothness-only CE, and the normalized quadratic objective
-    fd("ce_fit", lambda x: ce_fit(softmax_predictions(x), y_labeled),
+    fd("ce_fit", lambda x: ce_fit(ad.row_softmax(x), y_labeled),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("combined_ce",
-       lambda x: combined_loss(softmax_predictions(x), y_labeled, a_hat,
+       lambda x: combined_loss(ad.row_softmax(x), y_labeled, a_hat,
                                LossConfig(mu=0.7, variant="cross_entropy")),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("combined_l2",
        lambda x: combined_loss(x, y_labeled, a_hat, LossConfig(mu=0.9, variant="l2")),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
-    fd("ce_smooth", lambda x: ce_smooth(softmax_predictions(x), a_hat),
+    fd("ce_smooth", lambda x: ce_smooth(ad.row_softmax(x), a_hat),
        Tensor(rng.normal(size=(n, c)), requires_grad=True))
     fd("normalized_l2_objective",
        lambda x: regularization_objective(x, y, a_hat, 1.5),
@@ -157,16 +156,19 @@ def test_criterion_4_normalization_invariants():
     rng = np.random.default_rng(8)
     # GAT attention rows sum to 1
     g_sl = add_self_loops(random_graph(30, 0.2, seed=80))
+    a_hat = sym_normalize(g_sl)
     cfg = ModelConfig(kind="gat", n_layers=2, hidden_dim=6)
-    params = init_params(cfg, 5, 3, seed=81)
+    model = Model.init(cfg, 5, 3, seed=81)
     x = Tensor(rng.normal(size=(30, 5)))
-    _, attentions = gat_forward(x, sym_normalize(g_sl), params, cfg, return_attention=True)
+    layer_inputs = [x, hidden_embedding(model, x, a_hat)]
+    attentions = [gat_attention(ad.add(ad.matmul(h, p.weight), p.bias), p.attn, a_hat, cfg)
+                  for h, p in zip(layer_inputs, model.params)]
     att_err = max(
         float(np.abs(np.add.reduceat(a.values[:, 0], g_sl.indptr[:-1]) - 1.0).max())
         for a in attentions)
     assert att_err < 1e-10, f"attention row sums off by {att_err:.2e}"
     # softmax rows sum to 1
-    s = softmax_predictions(Tensor(rng.normal(size=(50, 6)) * 20.0)).values
+    s = ad.row_softmax(Tensor(rng.normal(size=(50, 6)) * 20.0)).values
     sm_err = float(np.abs(s.sum(axis=1) - 1.0).max())
     assert sm_err < 1e-10, f"softmax row sums off by {sm_err:.2e}"
     # spectral radius of A_hat <= 1 on n <= 100
@@ -174,7 +176,7 @@ def test_criterion_4_normalization_invariants():
     for seed in range(6):
         n = int(rng.integers(10, 101))
         a_hat = normalized(random_graph(n, 0.1, seed=800 + seed))
-        rho_max = max(rho_max, float(np.abs(np.linalg.eigvalsh(a_hat.to_dense())).max()))
+        rho_max = max(rho_max, float(np.abs(np.linalg.eigvalsh(dense(a_hat))).max()))
     assert rho_max <= 1.0 + 1e-10, f"spectral radius {rho_max}"
     return (f"attention {att_err:.1e}, softmax {sm_err:.1e}, "
             f"max spectral radius {rho_max:.12f}")

@@ -6,7 +6,7 @@ from gssl.autodiff import Tensor
 from gssl.errors import InputError, NumericError
 from gssl.graph import add_self_loops, from_edge_list
 
-from conftest import finite_difference_check, normalized, random_graph
+from conftest import dense, finite_difference_check, normalized, random_graph
 
 FD_TOL = 1e-4
 
@@ -58,18 +58,13 @@ def test_concat_cols_forward():
 
 def test_dropout_rate_zero_is_identity():
     x = leaf(np.ones((3, 3)))
-    assert ad.dropout(x, 0.0, training=True, rng=0) is x
-
-
-def test_dropout_eval_is_identity():
-    x = leaf(np.ones((3, 3)))
-    assert ad.dropout(x, 0.5, training=False) is x
+    assert ad.dropout(x, 0.0, rng=0) is x
 
 
 def test_dropout_seed_determinism_and_scaling():
     x = leaf(np.ones((50, 50)))
-    a = ad.dropout(x, 0.4, training=True, rng=123).values
-    b = ad.dropout(x, 0.4, training=True, rng=123).values
+    a = ad.dropout(x, 0.4, rng=123).values
+    b = ad.dropout(x, 0.4, rng=123).values
     assert np.array_equal(a, b)
     surviving = a[a != 0]
     assert np.allclose(surviving, 1.0 / 0.6)
@@ -77,7 +72,7 @@ def test_dropout_seed_determinism_and_scaling():
 
 def test_dropout_needs_rng_when_training():
     with pytest.raises(InputError):
-        ad.dropout(leaf(np.ones((2, 2))), 0.5, training=True)
+        ad.dropout(leaf(np.ones((2, 2))), 0.5)
 
 
 def test_spmm_identity_graph():
@@ -90,7 +85,7 @@ def test_spmm_matches_dense():
     rng = np.random.default_rng(1)
     a_hat = normalized(random_graph(50, 0.1, seed=2))
     x = Tensor(rng.normal(size=(50, 7)))
-    assert np.abs(ad.spmm(a_hat, x).values - a_hat.to_dense() @ x.values).max() < 1e-12
+    assert np.abs(ad.spmm(a_hat, x).values - dense(a_hat) @ x.values).max() < 1e-12
 
 
 # ---------------------------------------------------------------- backward
@@ -149,7 +144,7 @@ def test_spmm_backward_matches_transpose_rule():
     a_hat = normalized(random_graph(12, 0.3, seed=4))
     b = leaf(np.random.default_rng(6).normal(size=(12, 3)))
     ad.backward(ad.sum(ad.spmm(a_hat, b)))
-    assert np.allclose(b.grad, a_hat.to_dense().T @ np.ones((12, 3)))
+    assert np.allclose(b.grad, dense(a_hat).T @ np.ones((12, 3)))
 
 
 # ------------------------------------------------- finite-difference suite
@@ -186,7 +181,7 @@ def fd_cases():
         "edge_softmax": (lambda x: ad.sum(ad.elementwise_mul(Tensor(alpha_like), ad.edge_softmax(x, g_sl))), (g_sl.nnz, 1), {}),
         "edge_aggregate_alpha": (lambda x: ad.sum(ad.elementwise_mul(const, ad.edge_aggregate(x, const, g_sl))), (g_sl.nnz, 1), {}),
         "edge_aggregate_h": (lambda x: ad.sum(ad.elementwise_mul(const, ad.edge_aggregate(Tensor(alpha_like), x, g_sl))), (5, 7), {}),
-        "dropout_fixed_seed": (lambda x: ad.sum(ad.dropout(x, 0.3, training=True, rng=9)), (5, 7), {}),
+        "dropout_fixed_seed": (lambda x: ad.sum(ad.dropout(x, 0.3, rng=9)), (5, 7), {}),
     }
 
 

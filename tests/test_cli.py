@@ -10,11 +10,10 @@ from gssl.cli import (ExperimentSpec, ModelSpec, aggregate_runs, cmd_propagate,
                       run_experiment)
 from gssl.data import LabeledDataset, load_dataset, load_splits, save_dataset
 from gssl.errors import InputError
-from gssl.graph import Graph
 from gssl.models import Model, ModelConfig, hidden_embedding, load_checkpoint, save_checkpoint
 from gssl.trainer import DataContext
 
-from conftest import barbell_graph, two_blob_dataset
+from conftest import barbell_graph, forbid_densifying, two_blob_dataset
 
 
 def write_blobs(tmp_path, n_per=16, seed=0):
@@ -78,10 +77,7 @@ def test_validate_dataset_ok(tmp_path, capsys):
 def test_validate_dataset_checks_symmetry_without_densifying(tmp_path, monkeypatch, capsys):
     d, _ = write_blobs(tmp_path)
 
-    def no_dense(self):
-        raise AssertionError("validate-dataset built a dense n x n adjacency")
-
-    monkeypatch.setattr(Graph, "to_dense", no_dense)
+    forbid_densifying(monkeypatch, "validate-dataset")
     assert cmd_validate_dataset(d)
     assert capsys.readouterr().out.strip().endswith("OK")
 
@@ -310,11 +306,15 @@ def test_run_via_main_and_spec_file(tmp_path):
      "val_size and test_size must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "test_size": 0}',
      "val_size and test_size must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [0]}', "ell must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [20, -1]}', "ell must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "sage"}]}', "unknown model kind 'sage'"),
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
         "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
         "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
-        "negative-mu", "nan-mu", "val-size-zero", "test-size-zero"])
+        "negative-mu", "nan-mu", "val-size-zero", "test-size-zero", "ell-zero", "ell-negative",
+        "unknown-kind"])
 def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
     def no_load(*args):
         raise AssertionError("a bad spec reached the dataset loader")
@@ -435,7 +435,7 @@ def test_spec_validation():
     with pytest.raises(InputError):
         ExperimentSpec(dataset="x", models=[ModelSpec("mlp")], n_splits=0)
     with pytest.raises(InputError):
-        ModelSpec("transformer")
+        ExperimentSpec(dataset="x", models=[ModelSpec("transformer")])
 
 
 def test_dataset_env_var_resolution(tmp_path, monkeypatch):

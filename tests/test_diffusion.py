@@ -4,10 +4,10 @@ import pytest
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
                             gamma_from_mu, label_matrix, propagate_labels)
 from gssl.errors import InputError
-from gssl.graph import _Csr, from_edge_list
+from gssl.graph import from_edge_list
 
-from conftest import (barbell_graph, dense_diffusion, minimize_objective, normalized,
-                      random_connected_graph, random_graph)
+from conftest import (barbell_graph, dense, dense_diffusion, forbid_densifying, minimize_objective,
+                      normalized, random_connected_graph, random_graph)
 
 
 def test_label_matrix_shape_and_rows():
@@ -90,10 +90,7 @@ def test_cg_solve_matches_dense_cholesky(gamma):
 def test_direct_solve_at_pubmed_size_never_densifies(monkeypatch):
     n = 19_717  # Pubmed's node count; the dense system would take 3.1 GB
 
-    def no_dense(self):
-        raise AssertionError("diffuse_direct built a dense n x n matrix")
-
-    monkeypatch.setattr(_Csr, "to_dense", no_dense)
+    forbid_densifying(monkeypatch, "diffuse_direct")
     a_hat = normalized(from_edge_list([(i, (i + 1) % n) for i in range(n)], n))
     y = label_matrix(np.arange(n) % 3, np.arange(0, n, 500))
     gamma, tol = 0.2, 1e-8
@@ -123,7 +120,7 @@ def test_non_convergence_warns_with_residual():
 
 def test_contraction_rate_bound():
     a_hat = normalized(random_connected_graph(30, seed=5))
-    rho = np.abs(np.linalg.eigvalsh(a_hat.to_dense())).max()
+    rho = np.abs(np.linalg.eigvalsh(dense(a_hat))).max()
     y = label_matrix(np.arange(30) % 3, [0, 10, 20])
     gamma = 0.2
     mat = a_hat.scipy

@@ -7,7 +7,7 @@ from gssl.errors import InputError
 from gssl.graph import (add_self_loops, degrees, from_edge_list, read_edge_list,
                         sym_normalize)
 
-from conftest import normalized, random_graph
+from conftest import dense, normalized, random_graph
 
 
 def test_from_edge_list_path_graph():
@@ -58,8 +58,8 @@ def test_from_edge_list_order_invariant(pairs, order_seed):
 
 def test_structure_is_symmetric_and_sorted():
     g = random_graph(40, 0.15, seed=3)
-    dense = g.to_dense()
-    assert np.array_equal(dense, dense.T)
+    mat = dense(g)
+    assert np.array_equal(mat, mat.T)
     for v in range(g.n_nodes):
         row = g.indices[g.indptr[v]:g.indptr[v + 1]]
         assert np.all(np.diff(row) > 0)
@@ -67,7 +67,7 @@ def test_structure_is_symmetric_and_sorted():
 
 def test_add_self_loops_on_empty_graph_gives_identity():
     g = add_self_loops(from_edge_list([], 3))
-    assert np.array_equal(g.to_dense(), np.eye(3))
+    assert np.array_equal(dense(g), np.eye(3))
 
 
 def test_add_self_loops_path_degrees():
@@ -79,27 +79,27 @@ def test_add_self_loops_idempotent():
     g = from_edge_list([(0, 0), (0, 1)], 2)
     once = add_self_loops(g)
     twice = add_self_loops(once)
-    assert once.to_dense()[0, 0] == 1.0
-    assert np.array_equal(once.to_dense(), twice.to_dense())
+    assert dense(once)[0, 0] == 1.0
+    assert np.array_equal(dense(once), dense(twice))
     assert once.has_all_self_loops
 
 
 def test_sym_normalize_identity_case():
     a_hat = sym_normalize(add_self_loops(from_edge_list([], 3)))
-    assert np.allclose(a_hat.to_dense(), np.eye(3))
+    assert np.allclose(dense(a_hat), np.eye(3))
 
 
 def test_sym_normalize_two_node_hand_value():
     # single edge + self-loops: D = diag(2, 2), every entry 1/sqrt(2*2)
     a_hat = normalized(from_edge_list([(0, 1)], 2))
-    assert np.allclose(a_hat.to_dense(), np.full((2, 2), 0.5))
+    assert np.allclose(dense(a_hat), np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sym_normalize_spectral_radius_at_most_one(seed):
     n = 20 + 17 * seed
     a_hat = normalized(random_graph(n, 0.1, seed))
-    eig = np.linalg.eigvalsh(a_hat.to_dense())
+    eig = np.linalg.eigvalsh(dense(a_hat))
     rho = np.abs(eig).max()
     assert 0.0 < rho <= 1.0 + 1e-10
 
@@ -118,16 +118,16 @@ def test_sparse_matvec_matches_dense():
     rng = np.random.default_rng(7)
     for seed in range(3):
         a_hat = normalized(random_graph(60, 0.08, seed))
-        dense = a_hat.to_dense()
+        mat = dense(a_hat)
         vec = rng.normal(size=(60, 3))
-        assert np.abs(a_hat.scipy @ vec - dense @ vec).max() < 1e-12
+        assert np.abs(a_hat.scipy @ vec - mat @ vec).max() < 1e-12
 
 
 def test_normalized_row_sums_match_dense():
     a_hat = normalized(random_graph(30, 0.2, seed=5))
-    dense = a_hat.to_dense()
-    assert np.allclose(degrees(a_hat), dense.sum(axis=1))
-    assert np.allclose(a_hat.laplacian.to_dense(), np.diag(dense.sum(axis=1)) - dense)
+    mat = dense(a_hat)
+    assert np.allclose(degrees(a_hat), mat.sum(axis=1))
+    assert np.allclose(dense(a_hat.laplacian), np.diag(mat.sum(axis=1)) - mat)
 
 
 def test_read_edge_list(tmp_path):

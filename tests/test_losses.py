@@ -9,9 +9,9 @@ from gssl.diffusion import label_matrix
 from gssl.errors import InputError
 from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss, l2_fit,
-                         l2_smooth, one_hot_argmax, softmax_predictions)
+                         l2_smooth, one_hot_argmax)
 
-from conftest import finite_difference_check, normalized, random_graph
+from conftest import dense, finite_difference_check, normalized, random_graph
 
 FD_TOL = 1e-4
 
@@ -61,18 +61,18 @@ def two_node_adjacency(weight=0.5) -> NormalizedAdjacency:
     )
 
 
-# ---------------------------------------------------- softmax_predictions
+# ------------------------------------------------------- softmax of logits
 
 def test_softmax_uniform_row():
-    z = softmax_predictions(Tensor([[0.0, 0.0, 0.0]]))
+    z = ad.row_softmax(Tensor([[0.0, 0.0, 0.0]]))
     assert np.allclose(z.values, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_softmax_shift_invariance_and_argmax():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(8, 4))
-    a = softmax_predictions(Tensor(logits)).values
-    b = softmax_predictions(Tensor(logits + 7.5)).values
+    a = ad.row_softmax(Tensor(logits)).values
+    b = ad.row_softmax(Tensor(logits + 7.5)).values
     assert np.abs(a - b).max() < 1e-12
     assert np.array_equal(a.argmax(axis=1), logits.argmax(axis=1))
 
@@ -115,11 +115,11 @@ def test_l2_smooth_matches_scalar_loop_and_laplacian_trace():
     rng = np.random.default_rng(3)
     for seed in range(3):
         a_hat = normalized(random_graph(14, 0.25, seed=seed))
-        dense = a_hat.to_dense()
+        mat = dense(a_hat)
         z = rng.normal(size=(14, 3))
         ours = l2_smooth(Tensor(z), a_hat).values[0, 0]
-        assert np.isclose(ours, loop_l2_smooth(z, dense), rtol=1e-10)
-        lap = np.diag(dense.sum(axis=1)) - dense
+        assert np.isclose(ours, loop_l2_smooth(z, mat), rtol=1e-10)
+        lap = np.diag(mat.sum(axis=1)) - mat
         assert np.isclose(ours, 2.0 * np.trace(z.T @ lap @ z), rtol=1e-10)
 
 
@@ -127,11 +127,11 @@ def test_l2_smooth_matches_loop_with_and_without_self_pairs():
     # (i, i) pairs contribute zero distance, so one value serves both
     # settings of the flag, which l2_smooth therefore does not take
     a_hat = normalized(random_graph(9, 0.3, seed=5))
-    dense = a_hat.to_dense()
+    mat = dense(a_hat)
     z = np.random.default_rng(4).normal(size=(9, 2))
     ours = l2_smooth(Tensor(z), a_hat).values[0, 0]
     for include in (True, False):
-        assert np.isclose(ours, loop_l2_smooth(z, dense, include), rtol=1e-10)
+        assert np.isclose(ours, loop_l2_smooth(z, mat, include), rtol=1e-10)
         cfg = LossConfig(mu=1.0, variant="l2", include_self_loops=include)
         combined = combined_loss(Tensor(z), np.zeros_like(z), a_hat, cfg).values[0, 0]
         assert np.isclose(combined, ours, rtol=1e-12)
@@ -184,7 +184,7 @@ def test_ce_smooth_two_node_hand_case():
     # giving -(0.5 log 0.1 + 0.5 log 0.1) = -log 0.1
     a_hat = two_node_adjacency(0.5)
     z = np.array([[0.9, 0.1], [0.1, 0.9]])
-    expected = loop_ce_smooth(z, a_hat.to_dense())
+    expected = loop_ce_smooth(z, dense(a_hat))
     assert np.isclose(expected, -np.log(0.1))
     assert np.isclose(ce_smooth(Tensor(z), a_hat).values[0, 0], expected)
 
@@ -204,7 +204,7 @@ def test_ce_smooth_matches_scalar_loop():
         z = random_distribution(rng, 12, 4)
         for include in (True, False):
             ours = ce_smooth(Tensor(z), a_hat, include_self_loops=include).values[0, 0]
-            assert np.isclose(ours, loop_ce_smooth(z, a_hat.to_dense(), include), rtol=1e-10)
+            assert np.isclose(ours, loop_ce_smooth(z, dense(a_hat), include), rtol=1e-10)
 
 
 def test_ce_smooth_saturated_consensus_vanishes():
@@ -254,7 +254,7 @@ def test_combined_l2_matches_scalar_loop_eq_form():
     y = label_matrix(rng.integers(0, 3, size=15), labeled, 3)
     cfg = LossConfig(mu=1.0, variant="l2")
     ours = combined_loss(Tensor(z), y, a_hat, cfg).values[0, 0]
-    assert np.isclose(ours, loop_combined_l2(z, y, labeled, a_hat.to_dense(), 1.0), rtol=1e-10)
+    assert np.isclose(ours, loop_combined_l2(z, y, labeled, dense(a_hat), 1.0), rtol=1e-10)
 
 
 def test_combined_loss_monotone_in_mu():
@@ -281,11 +281,11 @@ def test_combined_ce_gradient_matches_finite_differences():
     cfg = LossConfig(mu=0.7, variant="cross_entropy")
 
     def f(x):
-        return combined_loss(softmax_predictions(x), y, a_hat, cfg)
+        return combined_loss(ad.row_softmax(x), y, a_hat, cfg)
 
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     # keep argmax stable under the +-1e-5 probes so phi stays fixed
-    assert margin_ok(softmax_predictions(x).values)
+    assert margin_ok(ad.row_softmax(x).values)
     assert finite_difference_check(f, x) < FD_TOL
 
 
@@ -316,11 +316,11 @@ def test_combined_loss_of_one_layer_model_matches_finite_differences():
     cfg = LossConfig(mu=0.5, variant="cross_entropy")
 
     def f(_):
-        z = softmax_predictions(model.forward(x, a_hat))
+        z = ad.row_softmax(model.forward(x, a_hat))
         return combined_loss(z, y, a_hat, cfg)
 
     weight = model.params[0].weight
-    assert margin_ok(softmax_predictions(model.forward(x, a_hat)).values)
+    assert margin_ok(ad.row_softmax(model.forward(x, a_hat)).values)
     assert finite_difference_check(f, weight) < FD_TOL
 
 
@@ -329,10 +329,10 @@ def test_ce_smooth_gradient_matches_finite_differences():
     a_hat = normalized(random_graph(6, 0.5, seed=10))
 
     def f(x):
-        return ce_smooth(softmax_predictions(x), a_hat)
+        return ce_smooth(ad.row_softmax(x), a_hat)
 
     x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    assert margin_ok(softmax_predictions(x).values)
+    assert margin_ok(ad.row_softmax(x).values)
     assert finite_difference_check(f, x) < FD_TOL
 
 

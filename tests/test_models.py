@@ -5,11 +5,11 @@ import gssl.autodiff as ad
 from gssl.autodiff import Tensor
 from gssl.errors import InputError
 from gssl.graph import NormalizedAdjacency, from_edge_list
-from gssl.models import (LayerParams, Model, ModelConfig, appnp_forward,
-                         gat_forward, gcn_forward, glorot_init, hidden_embedding,
-                         init_params, load_checkpoint, mlp_forward, save_checkpoint)
+from gssl.models import (LayerParams, Model, ModelConfig, gat_attention, glorot_init,
+                         hidden_embedding, init_params, load_checkpoint, save_checkpoint)
 
-from conftest import finite_difference_check, normalized, random_connected_graph, random_graph
+from conftest import (dense, finite_difference_check, normalized, random_connected_graph,
+                      random_graph)
 
 FD_TOL = 1e-4
 
@@ -58,14 +58,14 @@ def identity_params(d):
 def test_mlp_single_layer_identity_weights():
     cfg = ModelConfig(kind="mlp", n_layers=1)
     x = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
-    out = mlp_forward(x, identity_params(3), cfg)
+    out = Model(cfg, identity_params(3)).forward(x)
     assert np.array_equal(out.values, x.values)
 
 
 def test_mlp_zero_input_zero_bias_gives_zero_logits():
     cfg = ModelConfig(kind="mlp", n_layers=2, hidden_dim=4)
     params = init_params(cfg, 3, 2, seed=1)
-    out = mlp_forward(Tensor(np.zeros((6, 3))), params, cfg)
+    out = Model(cfg, params).forward(Tensor(np.zeros((6, 3))))
     assert np.array_equal(out.values, np.zeros((6, 2)))
 
 
@@ -76,8 +76,8 @@ def test_gcn_with_identity_adjacency_equals_mlp():
     params = init_params(cfg, 5, 3, seed=2)
     a_hat = normalized(from_edge_list([], 7))  # A_hat = I
     x = Tensor(np.random.default_rng(1).normal(size=(7, 5)))
-    gcn_out = gcn_forward(x, a_hat, params, cfg)
-    mlp_out = mlp_forward(x, params, cfg)
+    gcn_out = Model(cfg, params).forward(x, a_hat)
+    mlp_out = Model(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), params).forward(x)
     assert np.array_equal(gcn_out.values, mlp_out.values)
 
 
@@ -86,7 +86,7 @@ def test_gcn_single_isolated_node_is_linear_chain():
     params = init_params(cfg, 3, 2, seed=3)
     a_hat = normalized(from_edge_list([], 1))
     x_vals = np.random.default_rng(2).normal(size=(1, 3))
-    out = gcn_forward(Tensor(x_vals), a_hat, params, cfg)
+    out = Model(cfg, params).forward(Tensor(x_vals), a_hat)
     h = np.maximum(x_vals @ params[0].weight.values + params[0].bias.values, 0.0)
     expected = h @ params[1].weight.values + params[1].bias.values
     assert np.allclose(out.values, expected, atol=1e-12)
@@ -100,7 +100,7 @@ def test_gat_requires_self_loops():
     # the normalized edge (0, 1) alone, without the diagonal entries
     a_hat = NormalizedAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
     with pytest.raises(InputError, match="self-loop"):
-        gat_forward(Tensor(np.zeros((2, 3))), a_hat, params, cfg)
+        Model(cfg, params).forward(Tensor(np.zeros((2, 3))), a_hat)
 
 
 def test_gat_zero_attention_reduces_to_mean_aggregation():
@@ -109,21 +109,21 @@ def test_gat_zero_attention_reduces_to_mean_aggregation():
     params = init_params(cfg, 4, 3, seed=6)
     params[0].attn.values[:] = 0.0
     x_vals = np.random.default_rng(3).normal(size=(9, 4))
-    out = gat_forward(Tensor(x_vals), a_hat, params, cfg)
+    out = Model(cfg, params).forward(Tensor(x_vals), a_hat)
     wh = x_vals @ params[0].weight.values + params[0].bias.values
-    dense = (a_hat.to_dense() != 0).astype(float)  # the self-looped edge set
-    mean_agg = (dense / dense.sum(axis=1, keepdims=True)) @ wh
+    edges = (dense(a_hat) != 0).astype(float)  # the self-looped edge set
+    mean_agg = (edges / edges.sum(axis=1, keepdims=True)) @ wh
     assert np.allclose(out.values, mean_agg, atol=1e-12)
 
 
 def test_gat_attention_rows_sum_to_one():
     a_hat = normalized(random_graph(12, 0.3, seed=7))
     cfg = ModelConfig(kind="gat", n_layers=2, hidden_dim=6)
-    params = init_params(cfg, 5, 3, seed=8)
+    model = Model.init(cfg, 5, 3, seed=8)
     x = Tensor(np.random.default_rng(4).normal(size=(12, 5)))
-    _, attentions = gat_forward(x, a_hat, params, cfg, return_attention=True)
-    assert len(attentions) == 2
-    for alpha in attentions:
+    # each layer's input: the features, then the first layer's activations
+    for h, p in zip([x, hidden_embedding(model, x, a_hat)], model.params):
+        alpha = gat_attention(ad.add(ad.matmul(h, p.weight), p.bias), p.attn, a_hat, cfg)
         sums = np.add.reduceat(alpha.values[:, 0], a_hat.indptr[:-1])
         assert np.abs(sums - 1.0).max() < 1e-10
 
@@ -135,8 +135,8 @@ def test_appnp_alpha_one_returns_trunk_output():
     params = init_params(cfg, 3, 2, seed=9)
     a_hat = normalized(random_graph(8, 0.3, seed=10))
     x = Tensor(np.random.default_rng(5).normal(size=(8, 3)))
-    out = appnp_forward(x, a_hat, params, cfg)
-    trunk = mlp_forward(x, params, ModelConfig(kind="mlp", n_layers=2, hidden_dim=4))
+    out = Model(cfg, params).forward(x, a_hat)
+    trunk = Model(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4), params).forward(x)
     assert np.array_equal(out.values, trunk.values)
 
 
@@ -145,8 +145,8 @@ def test_appnp_k_zero_returns_trunk_output():
     params = init_params(cfg, 3, 2, seed=11)
     a_hat = normalized(random_graph(8, 0.3, seed=12))
     x = Tensor(np.random.default_rng(6).normal(size=(8, 3)))
-    out = appnp_forward(x, a_hat, params, cfg)
-    trunk = mlp_forward(x, params, ModelConfig(kind="mlp", n_layers=2, hidden_dim=4))
+    out = Model(cfg, params).forward(x, a_hat)
+    trunk = Model(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4), params).forward(x)
     assert np.array_equal(out.values, trunk.values)
 
 
@@ -157,7 +157,7 @@ def test_appnp_iteration_contracts():
     outs = []
     for k in range(12):
         cfg = ModelConfig(kind="appnp", n_layers=2, hidden_dim=8, appnp_alpha=0.1, appnp_k=k)
-        outs.append(appnp_forward(x, a_hat, params, cfg).values)
+        outs.append(Model(cfg, params).forward(x, a_hat).values)
     diffs = [np.abs(b - a).max() for a, b in zip(outs, outs[1:])]
     tail = diffs[2:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -229,13 +229,20 @@ def test_gat_param_shapes():
 
 def test_dropout_only_in_training_and_before_hidden_layers():
     cfg = ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.5)
-    params = init_params(cfg, 3, 2, seed=23)
+    model = Model.init(cfg, 3, 2, seed=23)
     x = Tensor(np.random.default_rng(10).normal(size=(20, 3)))
-    eval_out = mlp_forward(x, params, cfg, training=False)
-    eval_out2 = mlp_forward(x, params, cfg, training=False)
+    eval_out = model.forward(x, training=False)
+    eval_out2 = model.forward(x, training=False)
     assert np.array_equal(eval_out.values, eval_out2.values)
-    train_out = mlp_forward(x, params, cfg, training=True, rng=np.random.default_rng(0))
+    w1, b1, w2, b2 = (t.values for t in model.parameters())
+    no_dropout = np.maximum(x.values @ w1 + b1, 0.0) @ w2 + b2
+    assert np.allclose(eval_out.values, no_dropout, atol=1e-12)
+    train_out = model.forward(x, training=True, rng=np.random.default_rng(0))
     assert not np.array_equal(train_out.values, eval_out.values)
+    # a single layer is the output layer, so training drops nothing
+    single = Model.init(ModelConfig(kind="mlp", n_layers=1, dropout=0.5), 3, 2, seed=23)
+    assert np.array_equal(single.forward(x, training=True, rng=0).values,
+                          single.forward(x).values)
 
 
 # -------------------------------------------------------- hidden embedding

@@ -104,11 +104,12 @@ def test_train_restores_best_epoch_parameters():
     monitored = [h[1] for h in report.history]
     assert monitored[report.best_epoch - 1] == min(monitored)
     # the restored parameters reproduce the best epoch's validation loss
+    from gssl.autodiff import row_softmax
     from gssl.diffusion import label_matrix
-    from gssl.losses import combined_loss, softmax_predictions
+    from gssl.losses import combined_loss
 
     logits = ctx.forward(model, training=False)
-    val_loss = combined_loss(softmax_predictions(logits), label_matrix(ctx.labels, split.val, 2),
+    val_loss = combined_loss(row_softmax(logits), label_matrix(ctx.labels, split.val, 2),
                              ctx.a_hat, cfg.loss).values[0, 0]
     assert np.isclose(val_loss, monitored[report.best_epoch - 1], rtol=1e-12)
 
