@@ -271,7 +271,7 @@ def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict
     except Exception as err:  # cell isolation: the error is recorded, not raised
         record["status"] = f"failed: {type(err).__name__}: {err}"
         return record, None
-    record.update(report.to_dict(), status="ok",
+    record.update(asdict(report), status="ok",
                   val_acc_best=report.history[report.best_epoch - 1][2])
     keep = spec.save_checkpoints and split.seed == spec.base_seed
     return record, model.state_values() if keep else None
@@ -441,16 +441,14 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
 
 
 def cmd_validate_dataset(directory, log=print) -> bool:
-    """Load the dataset (the loader makes the graph symmetric and binary), check
-    finite features and known benchmarks' counts; print counts and OK/violations."""
+    """Load the dataset (the loader makes the graph symmetric and binary and rejects
+    non-finite features), check known benchmarks' counts; print counts and OK/violations."""
     try:
         ds = load_dataset(resolve_dataset_dir(directory))
     except (GsslError, OSError) as err:
         log(f"INVALID: {err}")
         return False
     problems = []
-    if not np.isfinite(ds.features).all():
-        problems.append("non-finite feature values")
     name = ds.name.lower()
     counts = (ds.n_nodes, ds.graph.n_undirected_edges, ds.n_classes, ds.n_features)
     if name in KNOWN_DATASETS and counts != KNOWN_DATASETS[name]:

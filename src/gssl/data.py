@@ -156,7 +156,11 @@ def _parse_features(path: Path) -> np.ndarray:
                 raise InputError(
                     f"{path}:{lineno}: expected {d} values, got {row.shape[0]}")
             rows.append(row)
-    return np.vstack(rows)
+    features = np.vstack(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:  # row i is on line i + 1, after the sparse header if there is one
+        raise InputError(f"{path}:{bad[0] + 1 + len(lines) - len(rows)}: non-finite feature value")
+    return features
 
 
 def _parse_labels(path: Path) -> np.ndarray:

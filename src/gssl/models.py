@@ -159,6 +159,8 @@ class Model:
         """Logits (n x n_classes), and with ``return_hidden`` also the
         penultimate activations; every kind but MLP needs ``a_hat``."""
         cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
+        if a_hat is None and cfg.kind != "mlp":
+            raise InputError(f"{cfg.kind} forward needs the normalized adjacency a_hat")
         h, hidden = x, None
         last = len(self.params) - 1
         for l, p in enumerate(self.params):
@@ -226,13 +228,17 @@ def _checkpoint_entries(model: Model) -> list[tuple[str, Tensor]]:
 
 
 def load_checkpoint(path) -> Model:
-    """The model :func:`save_checkpoint` wrote; non-finite parameters raise NumericError."""
-    with np.load(path) as data:
-        cfg = ModelConfig(**json.loads(bytes(data["config"]).decode()))
-        d_in, n_classes = data["weight_0"].shape[0], data[f"weight_{cfg.n_layers - 1}"].shape[1]
-        model = Model.init(cfg, d_in, n_classes, seed=0)
-        model.load_state_values(
-            [Tensor(data[name]).values for name, _ in _checkpoint_entries(model)])
+    """The model :func:`save_checkpoint` wrote.  A file that is not such an
+    archive raises InputError; non-finite parameters raise NumericError."""
+    try:
+        with np.load(path) as data:
+            cfg = ModelConfig(**json.loads(bytes(data["config"]).decode()))
+            d_in, n_classes = data["weight_0"].shape[0], data[f"weight_{cfg.n_layers - 1}"].shape[1]
+            model = Model.init(cfg, d_in, n_classes, seed=0)
+            model.load_state_values(
+                [Tensor(data[name]).values for name, _ in _checkpoint_entries(model)])
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise InputError(f"{path}: not a checkpoint ({err})") from None
     return model
 
 

@@ -1,8 +1,12 @@
 """Full-batch training: Adam with L2 weight decay, window early stopping,
 best-epoch restoration and final test evaluation.
 
-One call to :func:`train` owns its model, random state and computation
-graphs, so independent runs can execute concurrently in separate workers.
+One call to :func:`train` owns its model and random state, so independent
+runs can execute concurrently in separate workers.  Each epoch is a
+training step and a validation pass; each builds its own computation graph
+and returns only floats, so the graph is freed when the phase returns.
+Between epochs :func:`train` keeps the parameters, the Adam moments, the
+history and the best epoch so far.
 """
 
 from __future__ import annotations
@@ -62,16 +66,8 @@ class TrainConfig:
 class TrainReport:
     best_epoch: int
     epochs_run: int
-    history: list[tuple[float, float, float]]
     test_acc: float
-
-    def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "test_acc": self.test_acc,
-            "history": [list(h) for h in self.history],
-        }
+    history: list[tuple[float, float, float]]
 
 
 class AdamState:
@@ -83,42 +79,13 @@ class AdamState:
         self.t = 0
 
 
-class EarlyStopper:
-    """Window rule: stop after ``patience`` consecutive non-improving
-    epochs, where improving means strictly smaller than the best so far."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = None
-        self.best_index = 0
-        self.bad = 0
-        self.count = 0
-
-    def update(self, metric: float) -> bool:
-        """Record one epoch's metric; returns True when it improved."""
-        self.count += 1
-        if self.best is None or metric < self.best:
-            self.best = metric
-            self.best_index = self.count
-            self.bad = 0
-            return True
-        self.bad += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad >= self.patience
-
-
 def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
-              decay_mask: list[bool] | None = None) -> None:
+              decay_mask: list[bool]) -> None:
     """One Adam update in place, reading each parameter's ``grad``.
 
     Weight decay enters as an additive gradient term decay * w on the
     parameters flagged by ``decay_mask`` (weights yes, biases no).
     """
-    if decay_mask is None:
-        decay_mask = [True] * len(params)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -170,6 +137,27 @@ def evaluate(model: Model, ctx: DataContext, indices) -> float:
     return accuracy(logits.values, ctx.labels, indices)
 
 
+def _train_step(model: Model, ctx: DataContext, y_train: np.ndarray, cfg: TrainConfig,
+                state: AdamState, rng) -> float:
+    """One Adam step on the combined loss with dropout on; the loss value."""
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    logits = ctx.forward(model, training=True, rng=rng)
+    loss = combined_loss(ad.row_softmax(logits), y_train, ctx.a_hat, cfg.loss)
+    ad.backward(loss)
+    adam_step(params, state, cfg, model.decay_mask())
+    return float(loss.values[0, 0])
+
+
+def _validate(model: Model, ctx: DataContext, y_val: np.ndarray, split: Split,
+              cfg: TrainConfig) -> tuple[float, float]:
+    """Validation loss and accuracy with dropout off."""
+    logits = ctx.forward(model, training=False)
+    loss = combined_loss(ad.row_softmax(logits), y_val, ctx.a_hat, cfg.loss)
+    return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, split.val)
+
+
 def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> TrainReport:
     """Train up to ``cfg.max_epochs`` epochs with early stopping.
 
@@ -183,38 +171,23 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     rng = np.random.default_rng(cfg.seed)
     y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
     y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
-    params = model.parameters()
-    decay_mask = model.decay_mask()
-    state = AdamState(params)
-    stopper = EarlyStopper(cfg.patience)
+    state = AdamState(model.parameters())
     history: list[tuple[float, float, float]] = []
-    best_values = model.state_values()
+    best_loss, best_epoch, best_values = np.inf, 0, model.state_values()
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        for p in params:
-            p.grad = None
         try:
-            logits = ctx.forward(model, training=True, rng=rng)
-            z = ad.row_softmax(logits)
-            loss = combined_loss(z, y_train, ctx.a_hat, cfg.loss)
-            ad.backward(loss)
-            adam_step(params, state, cfg, decay_mask)
-
-            eval_logits = ctx.forward(model, training=False)
-            z_eval = ad.row_softmax(eval_logits)
-            val_loss = float(
-                combined_loss(z_eval, y_val, ctx.a_hat, cfg.loss).values[0, 0])
-            val_acc = accuracy(eval_logits.values, ctx.labels, split.val)
+            train_loss = _train_step(model, ctx, y_train, cfg, state, rng)
+            val_loss, val_acc = _validate(model, ctx, y_val, split, cfg)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}") from err
-        history.append((float(loss.values[0, 0]), val_loss, val_acc))
-
-        if stopper.update(val_loss):
-            best_values = model.state_values()
-        if stopper.should_stop:
+        history.append((train_loss, val_loss, val_acc))
+        if val_loss < best_loss:
+            best_loss, best_epoch, best_values = val_loss, epoch, model.state_values()
+        if epoch - best_epoch >= cfg.patience:
             break
 
     model.load_state_values(best_values)
     test_acc = evaluate(model, ctx, split.test)
-    return TrainReport(best_epoch=stopper.best_index, epochs_run=epoch,
-                       history=history, test_acc=test_acc)
+    return TrainReport(best_epoch=best_epoch, epochs_run=epoch, test_acc=test_acc,
+                       history=history)

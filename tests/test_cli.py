@@ -329,6 +329,62 @@ def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text
     assert err.startswith("error: ") and named in err
 
 
+def nan_in_dense_features(data_dir, ds, ckpt):
+    rows = (data_dir / "features.csv").read_text(encoding="ascii").splitlines()
+    rows[4] = "nan" + rows[4][rows[4].index(","):]
+    (data_dir / "features.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    return "features.csv:5"
+
+
+def inf_in_sparse_features(data_dir, ds, ckpt):
+    rows = [f"#sparse d={ds.n_features}"]
+    rows += [" ".join(f"{j}:{float(v)!r}" for j, v in enumerate(row)) for row in ds.features]
+    rows[5] += " 3:inf"
+    (data_dir / "features.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    return "features.csv:6"
+
+
+def text_checkpoint(data_dir, ds, ckpt):
+    ckpt.write_text("not a checkpoint\n", encoding="ascii")
+    return str(ckpt)
+
+
+def checkpoint_without(entry):
+    def corrupt(data_dir, ds, ckpt):
+        with np.load(ckpt) as data:
+            kept = {name: data[name] for name in data.files if name != entry}
+        np.savez(ckpt, **kept)
+        return str(ckpt)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, command", [
+    (nan_in_dense_features, "propagate"),
+    (inf_in_sparse_features, "propagate"),
+    (text_checkpoint, "export-embeddings"),
+    (checkpoint_without("config"), "export-embeddings"),
+    (checkpoint_without("weight_1"), "export-embeddings"),
+], ids=["nan-dense-feature", "inf-sparse-feature", "text-checkpoint", "npz-without-config",
+        "npz-without-last-weight"])
+def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
+    data_dir, ds = write_blobs(tmp_path)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4),
+                               ds.n_features, ds.n_classes, seed=0), ckpt)
+    named = corrupt(data_dir, ds, ckpt)
+    argv = {"propagate": ["propagate", "--dataset", str(data_dir), "--ell", "2",
+                          "--val-size", "8", "--test-size", "8"],
+            "export-embeddings": ["export-embeddings", "--checkpoint", str(ckpt), "--dataset",
+                                  str(data_dir), "--out", str(tmp_path / "emb.csv")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    bad_dataset = command == "propagate"
+    assert main(["validate-dataset", str(data_dir)]) == (1 if bad_dataset else 0)
+    out = capsys.readouterr().out
+    assert ("INVALID: " in out and named in out) if bad_dataset else out.endswith("OK\n")
+
+
 def test_known_dataset_profile_mismatch_flagged(tmp_path, capsys):
     # a directory named like a benchmark must match its published counts
     ds = two_blob_dataset(n_per=16, seed=12)

@@ -3,7 +3,7 @@ import pytest
 
 import gssl.autodiff as ad
 from gssl.autodiff import Tensor
-from gssl.errors import InputError
+from gssl.errors import InputError, NumericError
 from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.models import (LayerParams, Model, ModelConfig, gat_attention, glorot_init,
                          hidden_embedding, init_params, load_checkpoint, save_checkpoint)
@@ -101,6 +101,13 @@ def test_gat_requires_self_loops():
     a_hat = NormalizedAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
     with pytest.raises(InputError, match="self-loop"):
         Model(cfg, params).forward(Tensor(np.zeros((2, 3))), a_hat)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gat", "appnp"])
+def test_graph_kinds_need_a_hat(kind):
+    model = Model.init(ModelConfig(kind=kind, n_layers=2), 3, 2, seed=4)
+    with pytest.raises(InputError, match=f"{kind} forward needs .*a_hat"):
+        model.forward(Tensor(np.zeros((2, 3))))
 
 
 def test_gat_zero_attention_reduces_to_mean_aggregation():
@@ -273,3 +280,12 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.cfg == model.cfg
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(a.values, b.values)
+
+
+def test_checkpoint_with_non_finite_parameter_is_numeric_error(tmp_path):
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=5), 4, 3, seed=28)
+    model.params[1].weight.values[0, 0] = np.inf
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with pytest.raises(NumericError):
+        load_checkpoint(path)

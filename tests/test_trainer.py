@@ -1,12 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
+import gssl.trainer
 from gssl.autodiff import Tensor
 from gssl.errors import InputError
 from gssl.losses import LossConfig
 from gssl.models import Model, ModelConfig
-from gssl.trainer import (AdamState, DataContext, EarlyStopper, TrainConfig,
-                          TrainingAbort, accuracy, adam_step, evaluate, train)
+from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
+                          adam_step, evaluate, train)
 
 from conftest import two_blob_dataset
 
@@ -28,7 +31,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     p.grad = np.zeros((3, 3))
     cfg = TrainConfig(weight_decay=0.0)
     before = p.values.copy()
-    adam_step([p], AdamState([p]), cfg)
+    adam_step([p], AdamState([p]), cfg, decay_mask=[True])
     assert np.array_equal(p.values, before)
 
 
@@ -40,7 +43,7 @@ def test_adam_constant_gradient_step_magnitude_approaches_lr():
     prev = p.values.copy()
     for _ in range(50):
         p.grad = np.full((2, 2), 3.7)
-        adam_step([p], state, cfg)
+        adam_step([p], state, cfg, decay_mask=[True])
         step = np.abs(p.values - prev).max()
         prev = p.values.copy()
     assert abs(step - cfg.lr) < 0.01 * cfg.lr
@@ -73,25 +76,60 @@ def test_training_is_bit_deterministic():
 
 # ---------------------------------------------------------- early stopping
 
-def test_early_stopper_rule_application():
-    # patience 1, strictly increasing metric from the start
-    stopper = EarlyStopper(patience=1)
-    assert stopper.update(1.0)
-    assert not stopper.should_stop
-    assert not stopper.update(2.0)
-    assert stopper.should_stop
-    assert stopper.best_index == 1
-    assert stopper.count == 2
+def train_on_scripted_val_losses(monkeypatch, val_losses, patience):
+    """Train an MLP whose validation losses are ``val_losses`` in turn;
+    returns the report, the final parameters and each epoch's parameters."""
+    script, snapshots = iter(val_losses), []
+
+    def scripted_validate(model, *args):
+        snapshots.append(model.state_values())
+        return next(script), 0.5
+
+    monkeypatch.setattr(gssl.trainer, "_validate", scripted_validate)
+    ctx = make_ctx(seed=3)
+    split = small_split(two_blob_dataset(n_per=16, seed=3))
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), 4, 2, seed=4)
+    cfg = TrainConfig(max_epochs=len(val_losses), patience=patience, seed=4)
+    report = train(model, ctx, split, cfg)
+    return report, model.state_values(), snapshots
 
 
-def test_early_stopper_window_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    for metric in (5.0, 6.0, 4.0, 4.5):
-        stopper.update(metric)
-    assert not stopper.should_stop  # only one bad epoch since the best
-    assert stopper.best_index == 3
-    stopper.update(4.4)
-    assert stopper.should_stop  # second consecutive non-improvement
+@pytest.mark.parametrize("val_losses, patience, best_epoch, epochs_run", [
+    ([1.0, 2.0, 0.5], 1, 1, 2),             # one non-improving epoch stops patience 1
+    ([1.0, 1.0, 0.5], 1, 1, 2),             # an equal loss is not an improvement
+    ([5.0, 6.0, 4.0, 4.5, 4.4, 1.0], 2, 3, 5),  # the improvement at 3 resets the window
+    ([3.0, 2.0, 1.0], 5, 3, 3),             # max_epochs ends the run
+], ids=["patience-1", "tie-is-not-improvement", "window-resets", "max-epochs"])
+def test_early_stopping_window_rule(monkeypatch, val_losses, patience, best_epoch, epochs_run):
+    report, final, snapshots = train_on_scripted_val_losses(monkeypatch, val_losses, patience)
+    assert (report.best_epoch, report.epochs_run) == (best_epoch, epochs_run)
+    assert [h[1] for h in report.history] == val_losses[:epochs_run]
+    # the best epoch's parameters are restored, and they are not the last epoch's
+    for restored, best in zip(final, snapshots[best_epoch - 1], strict=True):
+        assert np.array_equal(restored, best)
+    if best_epoch < epochs_run:
+        assert not all(np.array_equal(a, b) for a, b in zip(final, snapshots[-1]))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gat"])
+def test_no_autodiff_graph_outlives_its_epoch(monkeypatch, kind):
+    # live Tensors at the start of every training forward: an epoch that keeps
+    # its training or validation graph alive into the next makes the count grow
+    counts, forward = [], DataContext.forward
+
+    def counting_forward(ctx, model, training=False, rng=None, return_hidden=False):
+        if training:
+            counts.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+        return forward(ctx, model, training, rng, return_hidden)
+
+    monkeypatch.setattr(DataContext, "forward", counting_forward)
+    ds = two_blob_dataset(n_per=16, seed=11)
+    model = Model.init(ModelConfig(kind=kind, n_layers=2, hidden_dim=8),
+                       ds.n_features, ds.n_classes, seed=12)
+    cfg = TrainConfig(max_epochs=5, patience=5, seed=12, loss=LossConfig(mu=0.5))
+    train(model, DataContext.from_dataset(ds), small_split(ds), cfg)
+    assert len(counts) == 5
+    assert max(counts) == counts[0], counts
 
 
 def test_train_restores_best_epoch_parameters():
