@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -117,16 +117,15 @@ class ExperimentSpec:
     mu_grid: list[float] = field(default_factory=lambda: [0.1, 0.5, 1.0, 2.0])
     base_seed: int = 0
     output_dir: str = "results"
-    hidden_dim: int = 64
-    dropout: float = 0.5
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    max_epochs: int = 1000
-    patience: int = 100
-    loss_variant: str = "cross_entropy"
-    include_self_loops: bool = True
-    appnp_alpha: float = 0.1
-    appnp_k: int = 10
+    hidden_dim: int = ModelConfig.hidden_dim
+    dropout: float = ModelConfig.dropout
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    loss_variant: str = LossConfig.variant
+    appnp_alpha: float = ModelConfig.appnp_alpha
+    appnp_k: int = ModelConfig.appnp_k
     normalize_features: bool = True
     val_size: int = VAL_SIZE
     test_size: int = TEST_SIZE
@@ -149,6 +148,8 @@ class ExperimentSpec:
             raise InputError("ell must be >= 1")
         if self.val_size < 1 or self.test_size < 1:
             raise InputError("val_size and test_size must be >= 1")
+        if self.workers < 1:
+            raise InputError("workers must be >= 1")
         # Build the configs the runs will use, so that their own checks apply.
         for mspec in self.models:
             for n_layers in self.layer_counts:
@@ -249,7 +250,7 @@ def _model_config(spec: ExperimentSpec, kind: str, n_layers: int) -> ModelConfig
 
 
 def _train_config(spec: ExperimentSpec, mu: float, seed: int) -> TrainConfig:
-    loss = LossConfig(mu=mu, variant=spec.loss_variant, include_self_loops=spec.include_self_loops)
+    loss = LossConfig(mu=mu, variant=spec.loss_variant)
     return TrainConfig(lr=spec.lr, weight_decay=spec.weight_decay, max_epochs=spec.max_epochs,
                        patience=spec.patience, loss=loss, seed=seed)
 
@@ -289,12 +290,13 @@ def _pool_run(task: tuple) -> tuple[dict, list | None]:
 
 
 def _execute(spec: ExperimentSpec, ctx: DataContext, tasks: list[tuple]):
-    """Yield ``_run_task``'s result for each task, in task order."""
-    if spec.workers <= 1:
+    """Yield ``_run_task``'s result for each task, in task order, on at most
+    ``spec.workers`` processes and never more than there are tasks."""
+    workers = min(spec.workers, len(tasks))
+    if workers <= 1:
         yield from map(partial(_run_task, spec, ctx), tasks)
         return
-    with ProcessPoolExecutor(spec.workers, initializer=_pool_init,
-                             initargs=(spec, ctx)) as pool:
+    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=(spec, ctx)) as pool:
         yield from pool.map(_pool_run, tasks)
 
 
@@ -309,9 +311,14 @@ def _select_mu(by_mu: dict[float, list[dict]]) -> float:
 
 
 def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]:
-    """The run records in ``runs_dir`` by path; InputError unless they all
-    carry one spec hash (``spec_hash``, when given)."""
-    records = {p: json.loads(p.read_text(encoding="utf-8")) for p in sorted(runs_dir.glob("*.json"))}
+    """The run records in ``runs_dir`` by path; InputError naming a record that
+    is not valid JSON, or unless all carry one spec hash (``spec_hash``, when given)."""
+    records = {}
+    for path in sorted(runs_dir.glob("*.json")):
+        try:
+            records[path] = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as err:
+            raise InputError(f"run record {path} is not valid JSON: {err}") from None
     hashes = {r.get("spec_hash") for r in records.values()}
     if spec_hash is not None:
         hashes.add(spec_hash)
@@ -379,7 +386,9 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
         record["spec_hash"] = spec_hash
         run = (record["model"], record["ell"], record["n_layers"], record["mu"])
         stem = "{}_ell{}_L{}_mu{:g}".format(*run) + f"_seed{record['seed']}"
-        (runs_dir / f"{stem}.json").write_text(json.dumps(record), encoding="utf-8")
+        tmp = runs_dir / f"{stem}.json.tmp"  # written whole, then renamed into place
+        tmp.write_text(json.dumps(record), encoding="utf-8")
+        os.replace(tmp, runs_dir / f"{stem}.json")
         status = record["status"]
         log(f"{stem}: " + (f"test {record['test_acc'] * 100.0:.1f}" if status == "ok" else status))
         if params is not None:
@@ -503,10 +512,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             spec = ExperimentSpec.from_json(args.spec)
-            if args.output_dir is not None:
-                spec.output_dir = args.output_dir
-            if args.workers is not None:
-                spec.workers = args.workers
+            overrides = {"output_dir": args.output_dir, "workers": args.workers}
+            spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
             table = run_experiment(spec)
             print(table.to_text(), end="")
             return 0

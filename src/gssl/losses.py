@@ -5,14 +5,15 @@ sum reduction throughout (no averaging; ``mu`` absorbs scale).  ``Y`` is
 the label matrix of :func:`gssl.diffusion.label_matrix`: one-hot on
 labeled rows, zero elsewhere, so the fitness terms run over its nonzero
 rows and no separate index list is needed.  The smoothness terms run
-over every stored entry of the normalized, self-looped adjacency.  The
-(i, i) self-pairs are zero in the L2 variant; in the cross-entropy variant
-they contribute a row-entropy term, and a flag decides whether they count.
+over every stored entry of the normalized, self-looped adjacency, (i, i)
+self-pairs included: they are zero in the L2 variant and contribute a
+row-entropy term in the cross-entropy variant.
 
-The cross-entropy smoothness loss pushes each node's predicted
-distribution toward its neighbors' current argmax classes: the one-hot
-conversion of the neighbor prediction is treated as a constant, so the
-gradient flows only through the log term.
+The cross-entropy smoothness loss is the fitness loss ``ce_fit`` against
+the constant target ``A_hat phi(Z)`` of :func:`smooth_target`, where phi
+is the one-hot argmax of the current prediction: it pushes each node's
+predicted distribution toward its neighbors' current argmax classes, and
+the gradient flows only through the log term.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .diffusion import label_matrix
 from .errors import InputError
 from .graph import NormalizedAdjacency
 
@@ -31,7 +33,7 @@ __all__ = [
     "ce_fit",
     "l2_fit",
     "l2_smooth",
-    "one_hot_argmax",
+    "smooth_target",
     "ce_smooth",
     "combined_loss",
 ]
@@ -45,7 +47,6 @@ class LossConfig:
 
     mu: float = 1.0
     variant: str = "cross_entropy"
-    include_self_loops: bool = True
 
     def __post_init__(self):
         if not self.mu >= 0:  # written so that NaN fails too
@@ -54,22 +55,16 @@ class LossConfig:
             raise InputError(f"unknown loss variant {self.variant!r}")
 
 
-def _as_array(y) -> np.ndarray:
-    return y.values if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-
-
-def ce_fit(z: Tensor, y) -> Tensor:
+def ce_fit(z: Tensor, y: np.ndarray) -> Tensor:
     """-sum over rows of y_i . log z_i (log clamped at 1e-12); the zero rows
     of Y (unlabeled nodes) add nothing."""
-    y = _as_array(y)
     if y.shape != z.shape:
         raise InputError(f"ce_fit shape mismatch: z {z.shape} vs y {y.shape}")
     return ad.scale(ad.sum(ad.elementwise_mul(Tensor(y), ad.log_clamped(z))), -1.0)
 
 
-def l2_fit(z: Tensor, y) -> Tensor:
+def l2_fit(z: Tensor, y: np.ndarray) -> Tensor:
     """sum over the nonzero (labeled) rows i of Y of ||z_i - y_i||^2."""
-    y = _as_array(y)
     if y.shape != z.shape:
         raise InputError(f"l2_fit shape mismatch: z {z.shape} vs y {y.shape}")
     mask = np.broadcast_to(y.any(axis=1, keepdims=True), y.shape)
@@ -88,44 +83,28 @@ def l2_smooth(z: Tensor, a_hat: NormalizedAdjacency) -> Tensor:
     return ad.scale(ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat.laplacian, z))), 2.0)
 
 
-def one_hot_argmax(z) -> np.ndarray:
-    """Row-wise one-hot of the max entry; ties go to the lowest class index.
-
-    Returns a plain constant array: no gradient flows through it.
-    """
-    values = _as_array(z)
-    out = np.zeros(values.shape)
-    out[np.arange(values.shape[0]), values.argmax(axis=1)] = 1.0
-    return out
+def smooth_target(z: Tensor, a_hat: NormalizedAdjacency) -> np.ndarray:
+    """The constant target A_hat phi(Z) of ``ce_smooth``: phi is the one-hot
+    argmax of each row of Z (ties to the lowest class), recomputed every
+    call; as a plain array no gradient flows through it."""
+    n, c = z.shape
+    return a_hat.scipy @ label_matrix(z.values.argmax(axis=1), np.arange(n), c)
 
 
-def ce_smooth(z: Tensor, a_hat: NormalizedAdjacency, include_self_loops: bool = True) -> Tensor:
+def ce_smooth(z: Tensor, a_hat: NormalizedAdjacency) -> Tensor:
     """-sum over stored entries (i, j) of A_hat_ij * phi(z_i) . log z_j.
 
-    phi is the one-hot argmax of the current z, recomputed every call and
-    held constant, so the gradient flows only through log z_j.  Grouping
-    by j turns the double sum into sum((A_hat phi) * log Z).
+    Grouping by j turns the double sum into ``ce_fit(Z, A_hat phi(Z))``.
     """
     if a_hat.n_nodes != z.shape[0]:
         raise InputError(f"ce_smooth: adjacency has {a_hat.n_nodes} nodes, z has {z.shape[0]} rows")
-    phi = one_hot_argmax(z)
-    weights = a_hat.scipy @ phi
-    if not include_self_loops:
-        weights = weights - a_hat.scipy.diagonal()[:, None] * phi
-    return ad.scale(ad.sum(ad.elementwise_mul(Tensor(weights), ad.log_clamped(z))), -1.0)
+    return ce_fit(z, smooth_target(z, a_hat))
 
 
-def combined_loss(z: Tensor, y, a_hat: NormalizedAdjacency, cfg: LossConfig) -> Tensor:
+def combined_loss(z: Tensor, y: np.ndarray, a_hat: NormalizedAdjacency, cfg: LossConfig) -> Tensor:
     """L_fit(Z, Y) + mu * L_smooth(Z; A_hat); mu = 0 is exactly the
     supervised loss."""
-    if cfg.variant == "l2":
-        fit = l2_fit(z, y)
-        if cfg.mu == 0.0:
-            return fit
-        smooth = l2_smooth(z, a_hat)
-    else:
-        fit = ce_fit(z, y)
-        if cfg.mu == 0.0:
-            return fit
-        smooth = ce_smooth(z, a_hat, cfg.include_self_loops)
-    return ad.add(fit, ad.scale(smooth, cfg.mu))
+    fit, smooth = (l2_fit, l2_smooth) if cfg.variant == "l2" else (ce_fit, ce_smooth)
+    if cfg.mu == 0.0:
+        return fit(z, y)
+    return ad.add(fit(z, y), ad.scale(smooth(z, a_hat), cfg.mu))

@@ -274,6 +274,26 @@ def test_run_via_main_and_spec_file(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "results.csv").is_file()
     assert (tmp_path / "out" / "results.txt").is_file()
+    # command-line overrides pass the spec's own checks
+    assert main(["run", "--spec", str(spec_path), "--workers", "0"]) == 2
+
+
+def test_truncated_run_record_is_input_error_exit_2(tmp_path, capsys):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=9)
+    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)],
+                     n_splits=1)
+    run_experiment(spec, log=quiet)
+    runs = tmp_path / "out" / "runs"
+    assert [p.suffix for p in runs.iterdir()] == [".json"]  # no temporary left behind
+    record = next(runs.iterdir())
+    record.write_bytes(record.read_bytes()[:20])
+    with pytest.raises(InputError, match=re.escape(record.name)):
+        aggregate_runs(runs)
+    spec_path = tmp_path / "spec.json"
+    payload = dict(spec.__dict__, models=[{"kind": "mlp"}])
+    spec_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    assert record.name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, named", [
@@ -309,12 +329,13 @@ def test_run_via_main_and_spec_file(tmp_path):
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [0]}', "ell must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [20, -1]}', "ell must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "sage"}]}', "unknown model kind 'sage'"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "workers": 0}', "workers must be >= 1"),
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
         "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
         "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
         "negative-mu", "nan-mu", "val-size-zero", "test-size-zero", "ell-zero", "ell-negative",
-        "unknown-kind"])
+        "unknown-kind", "workers-zero"])
 def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
     def no_load(*args):
         raise AssertionError("a bad spec reached the dataset loader")
@@ -461,6 +482,32 @@ def test_worker_pool_matches_inline_execution(tmp_path):
                                                                   "R-MLP_ell3_L2.npz"}
     assert_csv_is_aggregate(tmp_path / "inline")
     assert_csv_is_aggregate(tmp_path / "pooled")
+
+
+def test_pool_is_no_larger_than_the_task_list(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(gssl.cli, "ProcessPoolExecutor", InlinePool)
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=11)
+    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)],
+                     n_splits=2, workers=4)
+    run_experiment(spec, log=quiet)
+    assert sizes == [2]
+    assert len(list((tmp_path / "out" / "runs").glob("*.json"))) == 2
 
 
 def test_output_dir_belongs_to_one_spec(tmp_path):

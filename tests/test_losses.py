@@ -9,7 +9,7 @@ from gssl.diffusion import label_matrix
 from gssl.errors import InputError
 from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.losses import (LossConfig, ce_fit, ce_smooth, combined_loss, l2_fit,
-                         l2_smooth, one_hot_argmax)
+                         l2_smooth, smooth_target)
 
 from conftest import dense, finite_difference_check, normalized, random_graph
 
@@ -28,14 +28,14 @@ def loop_l2_smooth(z, a_dense, include_self_loops=True):
     return total
 
 
-def loop_ce_smooth(z, a_dense, include_self_loops=True):
+def loop_ce_smooth(z, a_dense):
     phi = np.zeros_like(z)
     phi[np.arange(z.shape[0]), z.argmax(axis=1)] = 1.0
     total = 0.0
     n = a_dense.shape[0]
     for i in range(n):
         for j in range(n):
-            if a_dense[i, j] != 0 and (include_self_loops or i != j):
+            if a_dense[i, j] != 0:
                 total -= a_dense[i, j] * phi[i] @ np.log(np.maximum(z[j], 1e-12))
     return total
 
@@ -59,6 +59,10 @@ def two_node_adjacency(weight=0.5) -> NormalizedAdjacency:
         np.array([1, 0], dtype=np.int64),
         np.array([weight, weight]),
     )
+
+
+def identity_adjacency(n) -> NormalizedAdjacency:
+    return normalized(from_edge_list([], n))  # self-loops only: A_hat = I
 
 
 # ------------------------------------------------------- softmax of logits
@@ -124,17 +128,17 @@ def test_l2_smooth_matches_scalar_loop_and_laplacian_trace():
 
 
 def test_l2_smooth_matches_loop_with_and_without_self_pairs():
-    # (i, i) pairs contribute zero distance, so one value serves both
-    # settings of the flag, which l2_smooth therefore does not take
+    # (i, i) pairs contribute zero distance, so the sum is the same with
+    # or without them
     a_hat = normalized(random_graph(9, 0.3, seed=5))
     mat = dense(a_hat)
     z = np.random.default_rng(4).normal(size=(9, 2))
     ours = l2_smooth(Tensor(z), a_hat).values[0, 0]
     for include in (True, False):
         assert np.isclose(ours, loop_l2_smooth(z, mat, include), rtol=1e-10)
-        cfg = LossConfig(mu=1.0, variant="l2", include_self_loops=include)
-        combined = combined_loss(Tensor(z), np.zeros_like(z), a_hat, cfg).values[0, 0]
-        assert np.isclose(combined, ours, rtol=1e-12)
+    cfg = LossConfig(mu=1.0, variant="l2")
+    combined = combined_loss(Tensor(z), np.zeros_like(z), a_hat, cfg).values[0, 0]
+    assert np.isclose(combined, ours, rtol=1e-12)
 
 
 def test_l2_smooth_zero_iff_constant_per_component():
@@ -152,14 +156,15 @@ def test_l2_smooth_zero_iff_constant_per_component():
     assert l2_smooth(Tensor(z_bump), a_hat).values[0, 0] > 1e-3
 
 
-# --------------------------------------------------------- one_hot_argmax
+# ---------------------------------------------------------- smooth_target
 
-def test_one_hot_argmax_basic():
-    assert one_hot_argmax(np.array([[0.1, 0.7, 0.2]])).tolist() == [[0.0, 1.0, 0.0]]
+def test_smooth_target_identity_adjacency_is_one_hot_argmax():
+    z = Tensor([[0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
+    assert smooth_target(z, identity_adjacency(2)).tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
-def test_one_hot_argmax_tie_breaks_low():
-    assert one_hot_argmax(np.array([[0.5, 0.5]])).tolist() == [[1.0, 0.0]]
+def test_smooth_target_tie_breaks_low():
+    assert smooth_target(Tensor([[0.5, 0.5]]), identity_adjacency(1)).tolist() == [[1.0, 0.0]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,12 +172,13 @@ def test_one_hot_argmax_tie_breaks_low():
     st.lists(st.floats(-5, 5).map(lambda v: round(v, 3)), min_size=3, max_size=3),
     min_size=1, max_size=6,
 ))
-def test_one_hot_argmax_monotone_invariant(rows):
+def test_smooth_target_monotone_invariant(rows):
     # quantized inputs: distinct entries stay distinct under the transform
     z = np.asarray(rows)
+    a_hat = identity_adjacency(z.shape[0])
     transformed = np.exp(0.5 * z) + 3.0  # strictly increasing elementwise
-    assert np.array_equal(one_hot_argmax(z), one_hot_argmax(transformed))
-    out = one_hot_argmax(z)
+    out = smooth_target(Tensor(z), a_hat)
+    assert np.array_equal(out, smooth_target(Tensor(transformed), a_hat))
     assert np.all(out.sum(axis=1) == 1.0)
     assert set(np.unique(out).tolist()) <= {0.0, 1.0}
 
@@ -190,7 +196,7 @@ def test_ce_smooth_two_node_hand_case():
 
 
 def test_ce_smooth_identity_adjacency_is_row_entropy_of_max():
-    a_hat = normalized(from_edge_list([], 4))  # A_hat = I
+    a_hat = identity_adjacency(4)
     rng = np.random.default_rng(7)
     z = random_distribution(rng, 4, 3)
     expected = -np.sum(np.log(z.max(axis=1)))
@@ -202,9 +208,8 @@ def test_ce_smooth_matches_scalar_loop():
     for seed in range(3):
         a_hat = normalized(random_graph(12, 0.3, seed=seed))
         z = random_distribution(rng, 12, 4)
-        for include in (True, False):
-            ours = ce_smooth(Tensor(z), a_hat, include_self_loops=include).values[0, 0]
-            assert np.isclose(ours, loop_ce_smooth(z, dense(a_hat), include), rtol=1e-10)
+        ours = ce_smooth(Tensor(z), a_hat).values[0, 0]
+        assert np.isclose(ours, loop_ce_smooth(z, dense(a_hat)), rtol=1e-10)
 
 
 def test_ce_smooth_saturated_consensus_vanishes():
