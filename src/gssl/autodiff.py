@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 matrices.
 
-Every value is a matrix; scalars are 1x1.  Ops record their inputs and a
-vector-Jacobian closure on the output tensor, so the computation graph is
-the DAG of parent links.  ``backward`` walks that DAG in reverse
-topological order and accumulates gradients into every ``requires_grad``
-leaf.  There is no global state: independent graphs can be built and
-differentiated concurrently.
+Every value is a matrix; scalars are 1x1.  Each op passes one
+vector-Jacobian function per input to ``_result``, which keeps only the
+inputs that take a gradient (``requires_grad`` leaves and the results
+computed from them), so a constant's gradient is never computed.  The
+computation graph is the DAG of those parent links.  ``backward`` walks it
+in reverse topological order and accumulates gradients into every
+``requires_grad`` leaf.  There is no global state: independent graphs can
+be built and differentiated concurrently.
 
 All ops validate shapes (only row-vector bias addition may broadcast) and
 raise :class:`NumericError` as soon as a forward pass produces NaN/Inf.
@@ -68,21 +70,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], *vjps) -> Tensor:
+    """Wrap an op's output.  ``vjps[i]`` maps the output gradient to
+    ``parents[i]``'s; only parents that take a gradient are kept, so
+    ``_vjp`` returns a tuple aligned with ``_parents`` and is None when the
+    output is a constant."""
     out = Tensor.__new__(Tensor)
     out.values = values
     if not np.isfinite(values).all():
         raise NumericError(f"op {op!r} produced non-finite values")
     out.grad = None
     out.op = op
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    kept = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
+    out.requires_grad = bool(kept)
+    out._parents = tuple(p for p, _ in kept)
+    fns = [f for _, f in kept]
+    out._vjp = (lambda g: tuple(f(g) for f in fns)) if kept else None
     return out
 
 
@@ -96,26 +99,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "matmul"), _check_tensor(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise InputError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _result(
-        a.values @ b.values,
-        "matmul",
-        (a, b),
-        lambda g: (g @ b.values.T, a.values.T @ g),
-    )
+    return _result(a.values @ b.values, "matmul", (a, b),
+                   lambda g: g @ b.values.T, lambda g: a.values.T @ g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b; b may be a 1 x d row vector added to every row."""
     _check_tensor(a, "add"), _check_tensor(b, "add")
     if a.shape == b.shape:
-        return _result(a.values + b.values, "add", (a, b), lambda g: (g, g))
+        return _result(a.values + b.values, "add", (a, b), lambda g: g, lambda g: g)
     if b.shape == (1, a.shape[1]):
-        return _result(
-            a.values + b.values,
-            "add_bias",
-            (a, b),
-            lambda g: (g, g.sum(axis=0, keepdims=True)),
-        )
+        return _result(a.values + b.values, "add_bias", (a, b),
+                       lambda g: g, lambda g: g.sum(axis=0, keepdims=True))
     raise InputError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
@@ -123,25 +118,21 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "sub"), _check_tensor(b, "sub")
     if a.shape != b.shape:
         raise InputError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    return _result(a.values - b.values, "sub", (a, b), lambda g: (g, -g))
+    return _result(a.values - b.values, "sub", (a, b), lambda g: g, np.negative)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     _check_tensor(a, "scale")
     c = float(c)
-    return _result(a.values * c, "scale", (a,), lambda g: (g * c,))
+    return _result(a.values * c, "scale", (a,), lambda g: g * c)
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "elementwise_mul"), _check_tensor(b, "elementwise_mul")
     if a.shape != b.shape:
         raise InputError(f"elementwise_mul shape mismatch: {a.shape} * {b.shape}")
-    return _result(
-        a.values * b.values,
-        "elementwise_mul",
-        (a, b),
-        lambda g: (g * b.values, g * a.values),
-    )
+    return _result(a.values * b.values, "elementwise_mul", (a, b),
+                   lambda g: g * b.values, lambda g: g * a.values)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -151,7 +142,7 @@ def row_softmax(a: Tensor) -> Tensor:
     s = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+        return s * (g - (g * s).sum(axis=1, keepdims=True))
 
     return _result(s, "row_softmax", (a,), vjp)
 
@@ -163,7 +154,7 @@ def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
     mask = a.values > eps
 
     def vjp(g):
-        return (np.where(mask, g / clamped, 0.0),)
+        return np.where(mask, g / clamped, 0.0)
 
     return _result(np.log(clamped), "log_clamped", (a,), vjp)
 
@@ -173,7 +164,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
 
     def vjp(g):
-        return (np.where(mask, g, 0.0),)
+        return np.where(mask, g, 0.0)
 
     return _result(np.where(mask, a.values, 0.0), "relu", (a,), vjp)
 
@@ -184,7 +175,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     mask = a.values > 0
 
     def vjp(g):
-        return (np.where(mask, g, slope * g),)
+        return np.where(mask, g, slope * g)
 
     return _result(np.where(mask, a.values, slope * a.values), "leaky_relu", (a,), vjp)
 
@@ -194,21 +185,15 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise InputError(f"concat_cols row mismatch: {a.shape} || {b.shape}")
     k = a.shape[1]
-
-    def vjp(g):
-        return (g[:, :k], g[:, k:])
-
-    return _result(np.hstack([a.values, b.values]), "concat_cols", (a, b), vjp)
+    return _result(np.hstack([a.values, b.values]), "concat_cols", (a, b),
+                   lambda g: g[:, :k], lambda g: g[:, k:])
 
 
 def sum(a: Tensor) -> Tensor:
     """Sum of all entries, as a 1x1 tensor."""
     _check_tensor(a, "sum")
-
-    def vjp(g):
-        return (np.full(a.shape, g[0, 0]),)
-
-    return _result(np.array([[a.values.sum()]]), "sum", (a,), vjp)
+    return _result(np.array([[a.values.sum()]]), "sum", (a,),
+                   lambda g: np.full(a.shape, g[0, 0]))
 
 
 def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
@@ -230,11 +215,7 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     keep = gen.random(a.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     mult = keep * factor
-
-    def vjp(g):
-        return (g * mult,)
-
-    return _result(a.values * mult, "dropout", (a,), vjp)
+    return _result(a.values * mult, "dropout", (a,), lambda g: g * mult)
 
 
 def spmm(adj, b: Tensor) -> Tensor:
@@ -243,11 +224,7 @@ def spmm(adj, b: Tensor) -> Tensor:
     if adj.n_nodes != b.shape[0]:
         raise InputError(f"spmm shape mismatch: {adj.n_nodes} nodes vs {b.shape} tensor")
     mat = adj.scipy
-
-    def vjp(g):
-        return (mat.T @ g,)
-
-    return _result(mat @ b.values, "spmm", (b,), vjp)
+    return _result(mat @ b.values, "spmm", (b,), lambda g: mat.T @ g)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -262,7 +239,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def vjp(g):
         out = np.zeros(a.shape)
         np.add.at(out, idx, g)
-        return (out,)
+        return out
 
     return _result(a.values[idx], "gather_rows", (a,), vjp)
 
@@ -292,7 +269,7 @@ def edge_softmax(scores: Tensor, adj) -> Tensor:
 
     def vjp(g):
         dot = np.add.reduceat(g[:, 0] * alpha, starts)
-        return ((alpha * (g[:, 0] - np.repeat(dot, counts)))[:, None],)
+        return (alpha * (g[:, 0] - np.repeat(dot, counts)))[:, None]
 
     return _result(alpha[:, None], "edge_softmax", (scores,), vjp)
 
@@ -309,13 +286,13 @@ def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
         raise InputError(f"edge_aggregate feature rows {h.shape[0]} != n_nodes {adj.n_nodes}")
     n = adj.n_nodes
     mat = sp.csr_matrix((alpha.values[:, 0], adj.indices, adj.indptr), shape=(n, n))
-    rows = adj.row_index_per_entry()
 
-    def vjp(g):
-        d_alpha = np.einsum("ec,ec->e", g[rows], h.values[adj.indices])[:, None]
-        return (d_alpha, mat.T @ g)
+    def alpha_vjp(g):
+        rows = adj.row_index_per_entry()
+        return np.einsum("ec,ec->e", g[rows], h.values[adj.indices])[:, None]
 
-    return _result(mat @ h.values, "edge_aggregate", (alpha, h), vjp)
+    return _result(mat @ h.values, "edge_aggregate", (alpha, h),
+                   alpha_vjp, lambda g: mat.T @ g)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -331,9 +308,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
     return order
 
 
@@ -348,17 +323,12 @@ def backward(loss: Tensor) -> None:
         raise InputError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
+    for node in reversed(_topo_order(loss)):
+        g = grads.pop(id(node))
+        if not node._parents:
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key = id(parent)
+            grads[key] = grads[key] + pg if key in grads else pg

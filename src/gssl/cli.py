@@ -409,7 +409,6 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
 
 
 def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
-                  solver: str = "iterative", tol: float = 1e-8,
                   val_size: int = VAL_SIZE, test_size: int = TEST_SIZE, log=print) -> float:
     """Label propagation on one split; returns and prints the accuracy.
 
@@ -419,8 +418,7 @@ def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
     ds, ctx = _load_context(dataset, normalize_features=False)
     split = make_splits(ds, ell, 1, seed, val_size=val_size, test_size=test_size)[0]
     y = label_matrix(ds.labels, split.train, ds.n_classes)
-    cfg = DiffusionConfig(gamma=gamma, tol=tol, solver=solver)
-    pred = propagate_labels(ctx.a_hat, y, cfg)
+    pred = propagate_labels(ctx.a_hat, y, DiffusionConfig(gamma=gamma))
     if split.test.size:
         eval_idx, which = split.test, "test"
     else:
@@ -487,7 +485,6 @@ def main(argv=None) -> int:
     p_prop.add_argument("--ell", type=int, default=20)
     p_prop.add_argument("--gamma", type=float, default=0.2)
     p_prop.add_argument("--seed", type=int, default=0)
-    p_prop.add_argument("--solver", choices=("iterative", "direct"), default="iterative")
     p_prop.add_argument("--val-size", type=int, default=VAL_SIZE)
     p_prop.add_argument("--test-size", type=int, default=TEST_SIZE)
 
@@ -519,8 +516,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "propagate":
             cmd_propagate(args.dataset, args.ell, args.gamma, args.seed,
-                          solver=args.solver, val_size=args.val_size,
-                          test_size=args.test_size)
+                          val_size=args.val_size, test_size=args.test_size)
             return 0
         if args.command == "export-embeddings":
             cmd_export_embeddings(args.checkpoint, args.dataset, args.out)

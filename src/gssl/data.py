@@ -127,6 +127,8 @@ def _parse_features(path: Path) -> np.ndarray:
             d = int(header[1])
         except ValueError:
             raise InputError(f"{path}:1: bad dimension in sparse header") from None
+        if d < 1:
+            raise InputError(f"{path}:1: sparse dimension must be >= 1, got {d}")
         for lineno, line in enumerate(lines[1:], start=2):
             row = np.zeros(d)
             for tok in line.split():
@@ -156,6 +158,8 @@ def _parse_features(path: Path) -> np.ndarray:
                 raise InputError(
                     f"{path}:{lineno}: expected {d} values, got {row.shape[0]}")
             rows.append(row)
+    if not rows:
+        raise InputError(f"{path}: no feature rows")
     features = np.vstack(rows)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:  # row i is on line i + 1, after the sparse header if there is one
@@ -231,6 +235,8 @@ def make_splits(ds: LabeledDataset, ell: int, n_splits: int, base_seed: int,
     """
     if ell < 1 or n_splits < 1:
         raise InputError("ell and n_splits must be >= 1")
+    if base_seed < 0:
+        raise InputError(f"base_seed must be >= 0, got {base_seed}")
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     if counts.min() < ell:
         cls = int(counts.argmin())

@@ -43,7 +43,6 @@ class DiffusionConfig:
     gamma: float
     tol: float = 1e-8
     max_iter: int = 10_000
-    solver: str = "iterative"
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -52,8 +51,6 @@ class DiffusionConfig:
             raise InputError("tol must be positive")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
-        if self.solver not in ("iterative", "direct"):
-            raise InputError(f"unknown solver {self.solver!r}")
 
 
 class DiffusionResult(NamedTuple):
@@ -142,7 +139,7 @@ def diffuse_iterative(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig,
 
 
 def propagate_labels(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> np.ndarray:
-    """Predicted class per node: row-wise argmax of the diffusion output.
+    """Predicted class per node: row-wise argmax of :func:`diffuse_iterative`'s output.
 
     Labeled rows (rows of Y summing to 1) keep their given class.  A class
     column with no labeled node triggers a warning (its nodes can only be
@@ -153,11 +150,7 @@ def propagate_labels(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> np.
     if np.any(per_class == 0):
         empty = np.flatnonzero(per_class == 0).tolist()
         warnings.warn(f"classes {empty} have no labeled nodes", RuntimeWarning, stacklevel=2)
-    if cfg.solver == "direct":
-        z = diffuse_direct(a_hat, y, cfg.gamma)
-    else:
-        z = diffuse_iterative(a_hat, y, cfg).z
-    pred = z.argmax(axis=1)
+    pred = diffuse_iterative(a_hat, y, cfg).z.argmax(axis=1)
     labeled_rows = y.sum(axis=1) > 0
     pred[labeled_rows] = y[labeled_rows].argmax(axis=1)
     return pred

@@ -60,6 +60,8 @@ class TrainConfig:
             raise InputError("weight_decay must be >= 0")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -147,6 +147,23 @@ def test_spmm_backward_matches_transpose_rule():
     assert np.allclose(b.grad, dense(a_hat).T @ np.ones((12, 3)))
 
 
+# --------------------------------------------- constants take no gradient
+
+def test_constant_operand_is_not_a_parent():
+    rng = np.random.default_rng(7)
+    w = leaf(rng.normal(size=(3, 2)))
+    out = ad.matmul(Tensor(rng.normal(size=(4, 3))), w)
+    assert out.requires_grad and out._parents == (w,)
+    assert len(out._vjp(np.ones((4, 2)))) == 1
+    z = leaf(rng.normal(size=(4, 2)))
+    assert ad.elementwise_mul(Tensor(rng.normal(size=(4, 2))), z)._parents == (z,)
+
+
+def test_op_on_constants_records_no_graph():
+    out = ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    assert not out.requires_grad and out._vjp is None and out._parents == ()
+
+
 # ------------------------------------------------- finite-difference suite
 
 def test_fd_check_of_sum_is_tiny():
@@ -171,6 +188,7 @@ def fd_cases():
         "sub": (lambda x: ad.sum(ad.elementwise_mul(ad.sub(x, const), ad.sub(x, const))), (5, 7), {}),
         "scale": (lambda x: ad.sum(ad.scale(x, -2.5)), (5, 7), {}),
         "elementwise_mul": (lambda x: ad.sum(ad.elementwise_mul(x, ad.elementwise_mul(x, const))), (5, 7), {}),
+        "elementwise_mul_self": (lambda x: ad.sum(ad.elementwise_mul(x, x)), (5, 7), {}),
         "row_softmax": (lambda x: ad.sum(ad.elementwise_mul(const, ad.row_softmax(x))), (5, 7), {}),
         "log_clamped": (lambda x: ad.sum(ad.log_clamped(x)), (5, 7), {"low": 0.1, "high": 2.0}),
         "relu": (lambda x: ad.sum(ad.relu(x)), (5, 7), {"away_from_zero": True}),

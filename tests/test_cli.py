@@ -107,6 +107,16 @@ def test_main_make_splits(tmp_path):
     assert all(len(s.train) == 6 for s in splits)
 
 
+def test_negative_seed_is_input_error_exit_2(tmp_path, capsys):
+    d, _ = write_blobs(tmp_path, n_per=20)
+    sizes = ["--ell", "3", "--val-size", "8", "--test-size", "8", "--seed", "-1"]
+    assert main(["make-splits", "--dataset", str(d), "--out", str(tmp_path / "s.json")]
+                + sizes) == 2
+    assert main(["propagate", "--dataset", str(d)] + sizes) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: base_seed must be >= 0, got -1") == 2
+
+
 def test_propagate_barbell_is_perfect(tmp_path, capsys):
     d = write_barbell(tmp_path)
     acc = cmd_propagate(d, ell=1, gamma=0.2, seed=0, val_size=0, test_size=0)
@@ -330,12 +340,13 @@ def test_truncated_run_record_is_input_error_exit_2(tmp_path, capsys):
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [20, -1]}', "ell must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "sage"}]}', "unknown model kind 'sage'"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "workers": 0}', "workers must be >= 1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "base_seed": -1}', "seed must be >= 0"),
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
         "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
         "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
         "negative-mu", "nan-mu", "val-size-zero", "test-size-zero", "ell-zero", "ell-negative",
-        "unknown-kind", "workers-zero"])
+        "unknown-kind", "workers-zero", "base-seed-negative"])
 def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
     def no_load(*args):
         raise AssertionError("a bad spec reached the dataset loader")
@@ -365,6 +376,17 @@ def inf_in_sparse_features(data_dir, ds, ckpt):
     return "features.csv:6"
 
 
+def negative_sparse_dimension(data_dir, ds, ckpt):
+    (data_dir / "features.csv").write_text("#sparse d=-1\n" + "0:1.0\n" * ds.n_nodes,
+                                           encoding="ascii")
+    return "features.csv:1: sparse dimension must be >= 1"
+
+
+def header_only_sparse_features(data_dir, ds, ckpt):
+    (data_dir / "features.csv").write_text(f"#sparse d={ds.n_features}\n", encoding="ascii")
+    return "features.csv: no feature rows"
+
+
 def text_checkpoint(data_dir, ds, ckpt):
     ckpt.write_text("not a checkpoint\n", encoding="ascii")
     return str(ckpt)
@@ -382,10 +404,13 @@ def checkpoint_without(entry):
 @pytest.mark.parametrize("corrupt, command", [
     (nan_in_dense_features, "propagate"),
     (inf_in_sparse_features, "propagate"),
+    (negative_sparse_dimension, "propagate"),
+    (header_only_sparse_features, "propagate"),
     (text_checkpoint, "export-embeddings"),
     (checkpoint_without("config"), "export-embeddings"),
     (checkpoint_without("weight_1"), "export-embeddings"),
-], ids=["nan-dense-feature", "inf-sparse-feature", "text-checkpoint", "npz-without-config",
+], ids=["nan-dense-feature", "inf-sparse-feature", "negative-sparse-dimension",
+        "header-only-sparse-features", "text-checkpoint", "npz-without-config",
         "npz-without-last-weight"])
 def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
     data_dir, ds = write_blobs(tmp_path)
