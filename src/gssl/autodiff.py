@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 matrices.
 
-Every value is a matrix; scalars are 1x1.  Each op passes one
-vector-Jacobian function per input to ``_result``, which keeps only the
-inputs that take a gradient (``requires_grad`` leaves and the results
-computed from them), so a constant's gradient is never computed.  The
+Every value is a matrix; scalars are 1x1.  The one sparse operand is the
+constant left factor of :func:`spmm` (the normalized adjacency, its
+Laplacian or the CSR feature matrix), which takes no gradient.  Each op
+passes one vector-Jacobian function per input to ``_result``, which keeps
+only the inputs that take a gradient (``requires_grad`` leaves and the
+results computed from them), so a constant's gradient is never computed.  The
 computation graph is the DAG of those parent links.  ``backward`` walks it
 in reverse topological order and accumulates gradients into every
 ``requires_grad`` leaf.  There is no global state: independent graphs can
@@ -218,12 +220,13 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     return _result(a.values * mult, "dropout", (a,), lambda g: g * mult)
 
 
-def spmm(adj, b: Tensor) -> Tensor:
-    """Sparse (symmetric) adjacency times dense tensor."""
+def spmm(mat, b: Tensor) -> Tensor:
+    """Constant scipy sparse matrix (m x k) times tensor (k x c)."""
     _check_tensor(b, "spmm")
-    if adj.n_nodes != b.shape[0]:
-        raise InputError(f"spmm shape mismatch: {adj.n_nodes} nodes vs {b.shape} tensor")
-    mat = adj.scipy
+    if not sp.issparse(mat):
+        raise InputError(f"spmm expects a scipy sparse matrix, got {type(mat).__name__}")
+    if mat.shape[1] != b.shape[0]:
+        raise InputError(f"spmm shape mismatch: {mat.shape} @ {b.shape}")
     return _result(mat @ b.values, "spmm", (b,), lambda g: mat.T @ g)
 
 

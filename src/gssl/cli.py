@@ -507,6 +507,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # propagate and make-splits; before any data loads
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "run":
             spec = ExperimentSpec.from_json(args.spec)
             overrides = {"output_dir": args.output_dir, "workers": args.workers}

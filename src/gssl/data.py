@@ -10,6 +10,10 @@ A dataset directory holds three plain-text files:
   space-separated ``idx:value`` pairs per row (blank row = zero row);
 * ``labels.txt``    one integer class id per line.
 
+Either feature format loads into a :class:`FeatureMatrix`, a CSR matrix
+that stores only the nonzero (or explicitly listed) entries; the loader,
+the row normalization and the models never hold the dense n x d array.
+
 A split takes ``ell`` labeled training nodes per class, then 500
 validation and 1000 test nodes sampled uniformly (in that order, so
 seeds reproduce across implementations); all three sets are disjoint.
@@ -18,21 +22,24 @@ seeds reproduce across implementations); all three sets are disjoint.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError
 from .graph import Graph, from_edge_list, read_edge_list
 
 __all__ = [
+    "FeatureMatrix",
     "LabeledDataset",
     "Split",
     "VAL_SIZE",
     "TEST_SIZE",
     "load_dataset",
-    "save_dataset",
     "make_splits",
     "row_normalize_features",
     "save_splits",
@@ -43,18 +50,33 @@ VAL_SIZE = 500
 TEST_SIZE = 1000
 
 
+class FeatureMatrix(sp.csr_matrix):
+    """Node features in CSR form; ``nbytes`` counts its three arrays."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
+    """A graph, its node features and labels.  ``features`` may be given
+    in any form scipy accepts and is stored as a float64 FeatureMatrix."""
+
     graph: Graph
-    features: np.ndarray
+    features: FeatureMatrix
     labels: np.ndarray
     name: str = "dataset"
 
     def __post_init__(self):
+        if not isinstance(self.features, FeatureMatrix):
+            object.__setattr__(self, "features", FeatureMatrix(self.features, dtype=np.float64))
         n = self.graph.n_nodes
         if self.features.shape[0] != n:
             raise InputError(
                 f"feature rows ({self.features.shape[0]}) != graph nodes ({n})")
+        if not np.isfinite(self.features.data).all():
+            raise InputError("non-finite feature value")
         if self.labels.shape[0] != n:
             raise InputError(f"label count ({self.labels.shape[0]}) != graph nodes ({n})")
         if self.labels.min() < 0:
@@ -64,7 +86,8 @@ class LabeledDataset:
         if present.shape != expected.shape or np.any(present != expected):
             missing = sorted(set(expected.tolist()) - set(present.tolist()))
             raise InputError(f"classes {missing} have no nodes")
-        self.features.setflags(write=False)
+        for arr in (self.features.data, self.features.indices, self.features.indptr):
+            arr.setflags(write=False)
         self.labels.setflags(write=False)
 
     @property
@@ -113,57 +136,93 @@ class Split:
         )
 
 
-def _parse_features(path: Path) -> np.ndarray:
+# Space- or tab-separated idx:value pairs, idx a plain integer; may be blank.
+# (str.splitlines has already split at every other ASCII whitespace.)
+_SPARSE_ROW = re.compile(r"[ \t]*(?:[0-9]+:[^ \t:]+(?:[ \t]+|\Z))*")
+
+
+def _sparse_dimension(path: Path, header: str) -> int:
+    parts = header.split("d=")
+    if len(parts) != 2:
+        raise InputError(f"{path}:1: sparse header must be '#sparse d=<d>'")
+    try:
+        d = int(parts[1])
+    except ValueError:
+        raise InputError(f"{path}:1: bad dimension in sparse header") from None
+    if d < 1:
+        raise InputError(f"{path}:1: sparse dimension must be >= 1, got {d}")
+    return d
+
+
+def _sparse_row(path: Path, lineno: int, line: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids and values of one ``idx:value`` row."""
+    if not _SPARSE_ROW.fullmatch(line):
+        raise InputError(f"{path}:{lineno}: expected space-separated idx:value pairs")
+    if ":" not in line:  # a blank row; np.fromstring reads bare whitespace as [-1]
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    try:
+        pairs = np.fromstring(line.replace(":", " "), sep=" ")
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: non-numeric feature value") from None
+    return pairs[0::2].astype(np.int64), pairs[1::2]
+
+
+def _dense_row(path: Path, lineno: int, line: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids and values of the nonzeros of one comma-separated row."""
+    if not line.strip():
+        raise InputError(f"{path}:{lineno}: blank feature row in dense format")
+    try:
+        row = np.fromstring(line, sep=",")
+    except ValueError:
+        row = None
+    if row is None or row.size != line.count(",") + 1:  # fromstring takes a trailing comma
+        raise InputError(f"{path}:{lineno}: non-numeric feature value")
+    if row.size != d:
+        raise InputError(f"{path}:{lineno}: expected {d} values, got {row.size}")
+    cols = np.flatnonzero(row)
+    return cols, row[cols]
+
+
+def _parse_features(path: Path) -> FeatureMatrix:
+    """The feature file as CSR, parsed one line at a time with no dense n x d copy."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise InputError(f"{path}: empty feature file")
-    rows: list[np.ndarray] = []
     if lines[0].startswith("#sparse"):
-        header = lines[0].split("d=")
-        if len(header) != 2:
-            raise InputError(f"{path}:1: sparse header must be '#sparse d=<d>'")
-        try:
-            d = int(header[1])
-        except ValueError:
-            raise InputError(f"{path}:1: bad dimension in sparse header") from None
-        if d < 1:
-            raise InputError(f"{path}:1: sparse dimension must be >= 1, got {d}")
-        for lineno, line in enumerate(lines[1:], start=2):
-            row = np.zeros(d)
-            for tok in line.split():
-                if ":" not in tok:
-                    raise InputError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: bad idx:value pair {tok!r}") from None
-                if not 0 <= idx < d:
-                    raise InputError(f"{path}:{lineno}: feature index {idx} out of range")
-                row[idx] = val
-            rows.append(row)
+        d, first, parse = _sparse_dimension(path, lines[0]), 2, _sparse_row
     else:
-        d = None
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                raise InputError(f"{path}:{lineno}: blank feature row in dense format")
-            try:
-                row = np.array([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-numeric feature value") from None
-            if d is None:
-                d = row.shape[0]
-            elif row.shape[0] != d:
-                raise InputError(
-                    f"{path}:{lineno}: expected {d} values, got {row.shape[0]}")
-            rows.append(row)
-    if not rows:
+        d, first = lines[0].count(",") + 1, 1
+        parse = partial(_dense_row, d=d)
+    cols, vals = [], []
+    for lineno, line in enumerate(lines[first - 1:], start=first):
+        c, v = parse(path, lineno, line)
+        cols.append(c)
+        vals.append(v)
+    if not cols:
         raise InputError(f"{path}: no feature rows")
-    features = np.vstack(rows)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:  # row i is on line i + 1, after the sparse header if there is one
-        raise InputError(f"{path}:{bad[0] + 1 + len(lines) - len(rows)}: non-finite feature value")
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum([c.size for c in cols], out=indptr[1:])
+    indices, data = np.concatenate(cols), np.concatenate(vals)
+
+    def line_of(entry) -> int:
+        return first - 1 + int(np.searchsorted(indptr, entry, side="right"))
+
+    beyond = np.flatnonzero(indices >= d)
+    if beyond.size:
+        raise InputError(f"{path}:{line_of(beyond[0])}: feature index "
+                         f"{indices[beyond[0]]} out of range")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise InputError(f"{path}:{line_of(bad[0])}: non-finite feature value")
+    features = FeatureMatrix((data, indices, indptr), shape=(len(cols), d))
+    if not features.has_canonical_format:  # a row lists its indices out of order or twice
+        features.sort_indices()
+        again = np.flatnonzero(np.diff(features.indices) == 0)
+        again = again[~np.isin(again + 1, indptr)]  # both entries in one row
+        if again.size:
+            raise InputError(f"{path}:{line_of(again[0])}: feature index "
+                             f"{features.indices[again[0]]} listed twice")
     return features
 
 
@@ -198,31 +257,18 @@ def load_dataset(directory) -> LabeledDataset:
     return LabeledDataset(graph, features, labels, name=directory.name)
 
 
-def save_dataset(ds: LabeledDataset, directory) -> None:
-    """Write a dataset back out in the dense plain-text format.
-
-    Round-trips bit-exactly: floats are written with shortest-repr.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = ds.graph.row_index_per_entry()
-    with open(directory / "graph.edges", "w", encoding="ascii") as fh:
-        for u, v in zip(rows, ds.graph.indices):
-            if u <= v:
-                fh.write(f"{u} {v}\n")
-    with open(directory / "features.csv", "w", encoding="ascii") as fh:
-        for row in ds.features:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(directory / "labels.txt", "w", encoding="ascii") as fh:
-        for label in ds.labels:
-            fh.write(f"{label}\n")
-
-
 def row_normalize_features(ds: LabeledDataset) -> LabeledDataset:
-    """Divide each nonzero feature row by its L1 norm; zero rows unchanged."""
-    norms = np.abs(ds.features).sum(axis=1, keepdims=True)
-    scaled = np.divide(ds.features, norms, out=ds.features.copy(), where=norms > 0)
-    return LabeledDataset(ds.graph, scaled, ds.labels.copy(), name=ds.name)
+    """Divide each nonzero feature row by its L1 norm; zero rows unchanged.
+
+    Works on the stored values only: the norm of a row sums its stored
+    entries, and each entry is divided by its row's norm.
+    """
+    f = ds.features
+    rows = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+    norms = np.bincount(rows, weights=np.abs(f.data), minlength=f.shape[0])[rows]
+    scaled = np.divide(f.data, norms, out=f.data.copy(), where=norms > 0)
+    features = FeatureMatrix((scaled, f.indices, f.indptr), shape=f.shape)
+    return LabeledDataset(ds.graph, features, ds.labels.copy(), name=ds.name)
 
 
 def make_splits(ds: LabeledDataset, ell: int, n_splits: int, base_seed: int,

@@ -94,10 +94,9 @@ class NormalizedAdjacency(_Csr):
     """
 
     @cached_property
-    def laplacian(self) -> _Csr:
+    def laplacian(self) -> sp.csr_matrix:
         """D - A_hat with D = diag(degrees(A_hat)), the l2 smoothness operator."""
-        lap = (sp.diags(degrees(self)) - self.scipy).tocsr()
-        return _Csr(self.n_nodes, lap.indptr, lap.indices, lap.data)
+        return (sp.diags(degrees(self)) - self.scipy).tocsr()
 
 
 def _csr_from_pairs(rows: np.ndarray, cols: np.ndarray, n_nodes: int):

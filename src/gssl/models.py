@@ -8,6 +8,12 @@ final layer emits raw logits; the trainer applies the row softmax.
 Every graph model takes the normalized adjacency A_hat: GCN and APPNP
 aggregate through its values, GAT computes its own attention weights
 over its stored entries, which are the self-looped edge structure.
+
+The input X is a dense Tensor or a scipy sparse matrix (the CSR features
+of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
+through ``spmm`` as a constant, and its dropout acts on its stored values
+only, so no dense n x d array is built.  A dropped-out zero stays zero, so
+skipping the zeros changes only which random numbers are drawn.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -107,14 +114,30 @@ def init_params(cfg: ModelConfig, d_in: int, n_classes: int, seed) -> list[Layer
     return params
 
 
+def _linear(h, weight: Tensor) -> Tensor:
+    """H W, through spmm when H is the sparse feature matrix."""
+    return ad.spmm(h, weight) if sp.issparse(h) else ad.matmul(h, weight)
+
+
+def _dropout(h, rate: float, rng):
+    """Dropout of a layer input; a sparse input keeps its pattern and drops
+    out its stored values (an nnz x 1 column), like ``sparse_dropout`` in
+    Kipf & Welling's reference GCN."""
+    if not sp.issparse(h):
+        return ad.dropout(h, rate, rng)
+    h = h.tocsr()
+    kept = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
+    return sp.csr_matrix((kept, h.indices, h.indptr), shape=h.shape)
+
+
 def _dense(h, p, a_hat, cfg):
     """H W + b."""
-    return ad.add(ad.matmul(h, p.weight), p.bias)
+    return ad.add(_linear(h, p.weight), p.bias)
 
 
 def _gcn(h, p, a_hat, cfg):
     """A_hat (H W) + b."""
-    return ad.add(ad.spmm(a_hat, ad.matmul(h, p.weight)), p.bias)
+    return ad.add(ad.spmm(a_hat.scipy, _linear(h, p.weight)), p.bias)
 
 
 def gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency, cfg: ModelConfig) -> Tensor:
@@ -157,7 +180,8 @@ class Model:
     def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
                 return_hidden=False):
         """Logits (n x n_classes), and with ``return_hidden`` also the
-        penultimate activations; every kind but MLP needs ``a_hat``."""
+        penultimate activations; every kind but MLP needs ``a_hat``.
+        ``x`` is a Tensor or a scipy sparse matrix."""
         cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
         if a_hat is None and cfg.kind != "mlp":
             raise InputError(f"{cfg.kind} forward needs the normalized adjacency a_hat")
@@ -165,14 +189,14 @@ class Model:
         last = len(self.params) - 1
         for l, p in enumerate(self.params):
             if training and l < last:
-                h = ad.dropout(h, cfg.dropout, rng)
+                h = _dropout(h, cfg.dropout, rng)
             h = layer(h, p, a_hat, cfg)
             if l < last:
                 h = hidden = ad.relu(h)
         if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
             z = h
             for _ in range(cfg.appnp_k):
-                z = ad.add(ad.scale(ad.spmm(a_hat, z), 1.0 - cfg.appnp_alpha),
+                z = ad.add(ad.scale(ad.spmm(a_hat.scipy, z), 1.0 - cfg.appnp_alpha),
                            ad.scale(h, cfg.appnp_alpha))
             h = z
         return (h, hidden) if return_hidden else h

@@ -6,7 +6,9 @@ runs can execute concurrently in separate workers.  Each epoch is a
 training step and a validation pass; each builds its own computation graph
 and returns only floats, so the graph is freed when the phase returns.
 Between epochs :func:`train` keeps the parameters, the Adam moments, the
-history and the best epoch so far.
+history and the best epoch so far.  The features stay in the dataset's CSR
+form (:class:`gssl.data.FeatureMatrix`): the first layer multiplies them
+through ``spmm`` and drops out their stored values only.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import LabeledDataset, Split
+from .data import FeatureMatrix, LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
 from .graph import NormalizedAdjacency, add_self_loops, sym_normalize
@@ -104,9 +106,10 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
 
 @dataclass
 class DataContext:
-    """Everything a forward pass needs, built once per dataset."""
+    """Everything a forward pass needs, built once per dataset.  ``x`` is
+    the dataset's CSR feature matrix itself, not a dense copy."""
 
-    x: Tensor
+    x: FeatureMatrix
     labels: np.ndarray
     n_classes: int
     a_hat: NormalizedAdjacency
@@ -114,7 +117,7 @@ class DataContext:
     @classmethod
     def from_dataset(cls, ds: LabeledDataset) -> "DataContext":
         return cls(
-            x=Tensor(ds.features),
+            x=ds.features,
             labels=ds.labels,
             n_classes=ds.n_classes,
             a_hat=sym_normalize(add_self_loops(ds.graph)),

@@ -1,6 +1,7 @@
 """Shared builders: random graphs, the barbell graph, toy datasets, the
-gate for optional real-dataset directories, the dense matrix of a small
-graph and a guard that forbids densifying, the finite-difference gradient
+dense dataset writer, a Cora-shaped dataset directory, the gate for
+optional real-dataset directories, the dense matrix of a small graph and a
+guard that forbids densifying, the finite-difference gradient
 check, and independent routes to the diffusion solution (dense Cholesky
 solve, gradient descent on the quadratic objective) that the library's
 solvers are checked against."""
@@ -109,6 +110,45 @@ def planted_partition(n_per=50, k=3, p_in=0.10, p_out=0.008, d=8, sep=1.2,
     return LabeledDataset(from_edge_list(pairs, n), features, labels, name="planted")
 
 
+def save_dataset(ds: LabeledDataset, directory) -> None:
+    """Write a dataset out in the dense plain-text format.
+
+    Round-trips bit-exactly: floats are written with shortest-repr.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = ds.graph.row_index_per_entry()
+    with open(directory / "graph.edges", "w", encoding="ascii") as fh:
+        for u, v in zip(rows, ds.graph.indices):
+            if u <= v:
+                fh.write(f"{u} {v}\n")
+    with open(directory / "features.csv", "w", encoding="ascii") as fh:
+        for row in ds.features.toarray():
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    with open(directory / "labels.txt", "w", encoding="ascii") as fh:
+        for label in ds.labels:
+            fh.write(f"{label}\n")
+
+
+def write_cora_shaped(directory, seed=0, n=2708, m=5429, c=7, d=1433, words=18) -> Path:
+    """A random dataset with Cora's counts and its 1.3% dense binary
+    features, in the ``#sparse`` format."""
+    rng = np.random.default_rng(seed)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    labels = rng.permutation(np.arange(n) % c)
+    pairs = rng.integers(0, n, size=(m, 2))
+    (directory / "graph.edges").write_text(
+        "".join(f"{u} {v}\n" for u, v in pairs.tolist()), encoding="ascii")
+    rows = [" ".join(f"{j}:1" for j in np.sort(rng.choice(d, words, replace=False)).tolist())
+            for _ in range(n)]
+    (directory / "features.csv").write_text(f"#sparse d={d}\n" + "\n".join(rows) + "\n",
+                                            encoding="ascii")
+    (directory / "labels.txt").write_text("".join(f"{y}\n" for y in labels.tolist()),
+                                          encoding="ascii")
+    return directory
+
+
 def dataset_root() -> Path:
     return Path(os.environ.get("GSSL_DATA_DIR", Path(__file__).resolve().parent.parent / "data"))
 
@@ -167,7 +207,7 @@ def regularization_objective(z: Tensor, y, a_hat: NormalizedAdjacency, mu: float
     diff = ad.sub(z, Tensor(np.asarray(y, dtype=np.float64)))
     fit = ad.sum(ad.elementwise_mul(diff, diff))
     quad = ad.sub(ad.sum(ad.elementwise_mul(z, z)),
-                  ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat, z))))
+                  ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat.scipy, z))))
     return ad.add(fit, ad.scale(quad, mu))
 
 

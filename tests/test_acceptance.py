@@ -17,7 +17,6 @@ import pytest
 import gssl.autodiff as ad
 from gssl.autodiff import Tensor
 from gssl.cli import ExperimentSpec, ModelSpec, run_experiment
-from gssl.data import save_dataset
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
                             gamma_from_mu, label_matrix, propagate_labels)
 from gssl.graph import add_self_loops, from_edge_list, sym_normalize
@@ -26,7 +25,7 @@ from gssl.models import Model, ModelConfig, gat_attention, hidden_embedding
 
 from conftest import (barbell_graph, dataset_present, dataset_root, dense, finite_difference_check,
                       minimize_objective, normalized, random_connected_graph, random_graph,
-                      regularization_objective, two_blob_dataset)
+                      regularization_objective, save_dataset, two_blob_dataset)
 
 FD_TOL = 1e-4
 

@@ -8,12 +8,12 @@ import gssl.cli
 from gssl.cli import (ExperimentSpec, ModelSpec, aggregate_runs, cmd_propagate,
                       cmd_export_embeddings, cmd_validate_dataset, main,
                       run_experiment)
-from gssl.data import LabeledDataset, load_dataset, load_splits, save_dataset
+from gssl.data import LabeledDataset, load_dataset, load_splits
 from gssl.errors import InputError
 from gssl.models import Model, ModelConfig, hidden_embedding, load_checkpoint, save_checkpoint
 from gssl.trainer import DataContext
 
-from conftest import barbell_graph, forbid_densifying, two_blob_dataset
+from conftest import barbell_graph, forbid_densifying, save_dataset, two_blob_dataset
 
 
 def write_blobs(tmp_path, n_per=16, seed=0):
@@ -113,8 +113,10 @@ def test_negative_seed_is_input_error_exit_2(tmp_path, capsys):
     assert main(["make-splits", "--dataset", str(d), "--out", str(tmp_path / "s.json")]
                 + sizes) == 2
     assert main(["propagate", "--dataset", str(d)] + sizes) == 2
+    # a dataset that does not exist still reports the seed: nothing was read
+    assert main(["propagate", "--dataset", str(tmp_path / "missing")] + sizes) == 2
     err = capsys.readouterr().err
-    assert err.count("error: base_seed must be >= 0, got -1") == 2
+    assert err.count("error: --seed must be >= 0, got -1") == 3
 
 
 def test_propagate_barbell_is_perfect(tmp_path, capsys):
@@ -370,8 +372,9 @@ def nan_in_dense_features(data_dir, ds, ckpt):
 
 def inf_in_sparse_features(data_dir, ds, ckpt):
     rows = [f"#sparse d={ds.n_features}"]
-    rows += [" ".join(f"{j}:{float(v)!r}" for j, v in enumerate(row)) for row in ds.features]
-    rows[5] += " 3:inf"
+    rows += [" ".join(f"{j}:{float(v)!r}" for j, v in enumerate(row))
+             for row in ds.features.toarray()]
+    rows[5] = "3:inf"
     (data_dir / "features.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     return "features.csv:6"
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gssl.data import (LabeledDataset, Split, load_dataset, load_splits,
-                       make_splits, row_normalize_features,
-                       save_dataset, save_splits)
+from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
+                       make_splits, row_normalize_features, save_splits)
 from gssl.errors import InputError
 from gssl.graph import degrees
 
-from conftest import require_dataset, two_blob_dataset
+from conftest import require_dataset, save_dataset, two_blob_dataset
 
 
 def write_toy_dir(tmp_path, sparse=False):
@@ -33,10 +33,43 @@ def test_load_dataset_dense(tmp_path):
     assert degrees(ds.graph).tolist() == [1.0, 2.0, 2.0, 1.0]
 
 
+def same_csr(a, b) -> bool:
+    """Equal shape and equal stored arrays, entry for entry."""
+    return a.shape == b.shape and all(np.array_equal(getattr(a, k), getattr(b, k))
+                                      for k in ("indptr", "indices", "data"))
+
+
 def test_sparse_and_dense_features_agree(tmp_path):
     dense = load_dataset(write_toy_dir(tmp_path / "a"))
     sparse = load_dataset(write_toy_dir(tmp_path / "b", sparse=True))
-    assert np.array_equal(dense.features, sparse.features)
+    assert isinstance(dense.features, FeatureMatrix) and isinstance(sparse.features, FeatureMatrix)
+    assert same_csr(dense.features, sparse.features)
+    assert dense.features.nnz == 6  # the zeros of the dense file are not stored
+
+
+def reference_parse(path, d):
+    """The per-token loop of a ``#sparse`` file, one dense row per line."""
+    lines = path.read_text(encoding="ascii").splitlines()[1:]
+    out = np.zeros((len(lines), d))
+    for i, line in enumerate(lines):
+        for tok in line.split():
+            idx, val = tok.split(":")
+            out[i, int(idx)] = float(val)
+    return out
+
+
+def test_sparse_parse_matches_a_per_token_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    d = write_toy_dir(tmp_path, sparse=True)
+    rows = []
+    for i in range(4):
+        cols = np.sort(rng.choice(40, size=i * 5, replace=False))
+        vals = rng.gamma(2.0, 0.05, size=cols.size) * 10.0 ** rng.integers(-6, 6, cols.size)
+        rows.append(" ".join(f"{c}:{float(v)!r}" if c % 2 else f"{c}:{v:g}"
+                                for c, v in zip(cols, vals)))
+    path = d / "features.csv"
+    path.write_text("#sparse d=40\n" + "\n".join(rows) + "\n", encoding="ascii")
+    assert np.array_equal(load_dataset(d).features.toarray(), reference_parse(path, 40))
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -44,7 +77,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     out = tmp_path / "rt"
     save_dataset(ds, out)
     loaded = load_dataset(out)
-    assert np.array_equal(loaded.features, ds.features)
+    assert same_csr(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.array_equal(loaded.graph.indptr, ds.graph.indptr)
     assert np.array_equal(loaded.graph.indices, ds.graph.indices)
@@ -74,6 +107,44 @@ def test_feature_file_errors_carry_line_numbers(tmp_path):
     (d2 / "features.csv").write_text("#sparse d=3\n0:1\n9:1\n\n0:1\n", encoding="ascii")
     with pytest.raises(InputError, match="features.csv:3"):
         load_dataset(d2)
+
+
+@pytest.mark.parametrize("body, named", [
+    ("0:1\n1:1:1\n\n0:1\n", "features.csv:3: expected space-separated idx:value"),
+    ("0:1\n1:1 2\n\n0:1\n", "features.csv:3: expected space-separated idx:value"),
+    ("0:1\n1:1\n1.5:1\n0:1\n", "features.csv:4: expected space-separated idx:value"),
+    ("0:1\n1:1\n\n0:1 2:x\n", "features.csv:5: non-numeric feature value"),
+    ("0:1\n\n2:1 0:2 2:3\n0:1\n", "features.csv:4: feature index 2 listed twice"),
+    ("0:1\n\n\n0:1 3:1\n", "features.csv:5: feature index 3 out of range"),
+], ids=["two-colons", "bare-number", "fractional-index", "non-numeric", "repeated-index",
+        "index-out-of-range"])
+def test_malformed_sparse_row_names_its_line(tmp_path, body, named):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text("#sparse d=3\n" + body, encoding="ascii")
+    with pytest.raises(InputError, match=named):
+        load_dataset(d)
+
+
+def test_dense_row_with_trailing_comma_names_its_line(tmp_path):
+    d = write_toy_dir(tmp_path)
+    (d / "features.csv").write_text("1,2,3\n1,2,\n0,0,0\n1,1,1\n", encoding="ascii")
+    with pytest.raises(InputError, match="features.csv:2: non-numeric"):
+        load_dataset(d)
+
+
+def test_sparse_row_may_list_its_indices_out_of_order(tmp_path):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(
+        "#sparse d=3\n0:1.5\n2:0.5 1:2.0\n  \n2:1.0 0:1.0 1:1.0\n", encoding="ascii")
+    assert same_csr(load_dataset(d).features, load_dataset(write_toy_dir(tmp_path / "b")).features)
+
+
+def test_dataset_built_in_memory_rejects_non_finite_features():
+    ds = two_blob_dataset(n_per=4, seed=7)
+    features = np.ones((ds.n_nodes, 2))
+    features[3, 1] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        LabeledDataset(ds.graph, features, ds.labels)
 
 
 def test_edge_ids_must_fit_node_count(tmp_path):
@@ -159,11 +230,29 @@ def test_row_normalize_examples():
     ds = two_blob_dataset(n_per=4, seed=7)
     features = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 3.0]] + [[1.0, 0.0]] * 5)
     raw = LabeledDataset(ds.graph, features, ds.labels, name="raw")
-    normed = row_normalize_features(raw)
-    assert np.allclose(normed.features[0], [0.5, 0.5])
-    assert np.array_equal(normed.features[1], [0.0, 0.0])
-    sums = normed.features.sum(axis=1)
+    normed = row_normalize_features(raw).features.toarray()
+    assert np.allclose(normed[0], [0.5, 0.5])
+    assert np.array_equal(normed[1], [0.0, 0.0])
+    sums = normed.sum(axis=1)
     assert set(np.round(sums, 12).tolist()) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("zero_rows", [[0, 3], [5, 9], [9]],
+                         ids=["leading-and-inner", "inner-and-trailing", "trailing"])
+def test_row_normalize_matches_dense_formula(zero_rows):
+    rng = np.random.default_rng(8)
+    dense = rng.normal(size=(10, 6)) * (rng.random((10, 6)) < 0.4)
+    dense[1, 2] = 0.0 if dense[1].any() else 1.0  # keep row 1 nonzero
+    dense[zero_rows] = 0.0
+    ds = two_blob_dataset(n_per=5, seed=9)
+    stored = sp.csr_matrix(dense)
+    rows, cols = stored.nonzero()
+    stored.data[0] = dense[rows[0], cols[0]] = 0.0  # a stored zero must stay zero
+    normed = row_normalize_features(LabeledDataset(ds.graph, stored, ds.labels)).features
+    norms = np.abs(dense).sum(axis=1, keepdims=True)
+    expected = np.divide(dense, norms, out=dense.copy(), where=norms > 0)
+    assert np.allclose(normed.toarray(), expected, rtol=1e-15, atol=0)
+    assert normed.nnz == stored.nnz and np.isfinite(normed.data).all()
 
 
 # ------------------------------------------------- real datasets (gated)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gssl.autodiff as ad
 from gssl.autodiff import Tensor
@@ -250,6 +251,57 @@ def test_dropout_only_in_training_and_before_hidden_layers():
     single = Model.init(ModelConfig(kind="mlp", n_layers=1, dropout=0.5), 3, 2, seed=23)
     assert np.array_equal(single.forward(x, training=True, rng=0).values,
                           single.forward(x).values)
+
+
+def sparse_features(n=30, d=8, seed=12):
+    rng = np.random.default_rng(seed)
+    return sp.csr_matrix((rng.random((n, d)) + 0.1) * (rng.random((n, d)) < 0.3))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_sparse_and_dense_inputs_give_the_same_logits(kind):
+    x = sparse_features()
+    a_hat = normalized(random_connected_graph(30, seed=14))
+    model = Model.init(ModelConfig(kind=kind, n_layers=2, hidden_dim=5), 8, 3, seed=15)
+    out = model.forward(x, a_hat).values
+    assert np.allclose(out, model.forward(Tensor(x.toarray()), a_hat).values, atol=1e-12)
+
+
+def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
+    x = sparse_features()
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.4), 8, 3,
+                       seed=13)
+    left, dropout_shapes = [], []
+    spmm, dropout = ad.spmm, ad.dropout
+
+    def spy_spmm(mat, b):
+        left.append(mat)
+        return spmm(mat, b)
+
+    def spy_dropout(a, rate, rng=None):
+        dropout_shapes.append(a.shape)
+        return dropout(a, rate, rng)
+
+    monkeypatch.setattr(ad, "spmm", spy_spmm)
+    monkeypatch.setattr(ad, "dropout", spy_dropout)
+
+    def dropped(seed):
+        left.clear()
+        model.forward(x, training=True, rng=seed)
+        return left[0]
+
+    first, again, other = dropped(0), dropped(0), dropped(1)
+    assert dropout_shapes[0] == (x.nnz, 1)  # one draw per stored value
+    for m in (first, again, other):
+        assert np.array_equal(m.indptr, x.indptr) and np.array_equal(m.indices, x.indices)
+        kept = m.data != 0
+        assert 0 < kept.sum() < x.nnz
+        assert np.allclose(m.data[kept], x.data[kept] / (1 - 0.4), rtol=1e-15, atol=0)
+    assert np.array_equal(first.data, again.data)  # a fixed seed gives a fixed mask
+    assert not np.array_equal(first.data, other.data)
+    left.clear()
+    model.forward(x)
+    assert len(left) == 1 and left[0] is x  # no dropout with training off
 
 
 # -------------------------------------------------------- hidden embedding

@@ -10,11 +10,11 @@ accuracy reported.
 import numpy as np
 
 from gssl.cli import ExperimentSpec, ModelSpec, run_experiment
-from gssl.data import make_splits, save_dataset
+from gssl.data import make_splits
 from gssl.diffusion import DiffusionConfig, label_matrix, propagate_labels
 from gssl.trainer import DataContext
 
-from conftest import normalized, planted_partition
+from conftest import normalized, planted_partition, save_dataset
 
 MU_GRID = [0.02, 0.05, 0.1]
 

@@ -1,22 +1,23 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gssl.autodiff as ad
 import gssl.trainer
 from gssl.autodiff import Tensor
+from gssl.data import load_dataset, make_splits, row_normalize_features
 from gssl.errors import InputError
 from gssl.losses import LossConfig
 from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
                           adam_step, evaluate, train)
 
-from conftest import two_blob_dataset
+from conftest import two_blob_dataset, write_cora_shaped
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
-    from gssl.data import make_splits
-
     return make_splits(ds, ell, 1, seed, val_size=val, test_size=test)[0]
 
 
@@ -130,6 +131,45 @@ def test_no_autodiff_graph_outlives_its_epoch(monkeypatch, kind):
     train(model, DataContext.from_dataset(ds), small_split(ds), cfg)
     assert len(counts) == 5
     assert max(counts) == counts[0], counts
+
+
+@pytest.fixture(scope="module")
+def cora_shaped(tmp_path_factory):
+    """Load, normalize and wrap Cora-shaped data; the peak traced memory of it."""
+    directory = write_cora_shaped(tmp_path_factory.mktemp("cora_shaped"))
+    tracemalloc.start()
+    try:
+        ds = row_normalize_features(load_dataset(directory))
+        ctx = DataContext.from_dataset(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ds, ctx, peak
+
+
+def test_cora_shaped_features_load_without_a_dense_copy(cora_shaped):
+    ds, ctx, peak = cora_shaped
+    dense_bytes = ds.n_nodes * ds.n_features * 8
+    assert ctx.x is ds.features
+    assert ds.features.nbytes < dense_bytes / 20  # 1.3% of the entries are stored
+    assert peak < dense_bytes / 4, f"parse, normalize and context peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_cora_shaped_epoch_has_no_n_by_d_operand(monkeypatch, cora_shaped, kind):
+    ds, ctx, _ = cora_shaped
+    sizes = []
+    for op in ("matmul", "dropout"):
+        def spy(*args, _op=getattr(ad, op), **kwargs):
+            sizes.extend(a.values.size for a in args if isinstance(a, Tensor))
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ad, op, spy)
+    model = Model.init(ModelConfig(kind=kind, n_layers=2, hidden_dim=16),
+                       ds.n_features, ds.n_classes, seed=0)
+    cfg = TrainConfig(max_epochs=1, loss=LossConfig(mu=0.5))
+    report = train(model, ctx, make_splits(ds, 20, 1, 0)[0], cfg)
+    assert report.epochs_run == 1 and sizes
+    assert max(sizes) < ds.n_nodes * ds.n_features
 
 
 def test_train_restores_best_epoch_parameters():
