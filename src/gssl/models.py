@@ -145,13 +145,18 @@ def gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency, cfg: Mod
 
     Only the pattern of A_hat is read, not its values:
     score = LeakyReLU(attn . [wh_v || wh_u]), normalized by softmax over
-    v's entries, which must include (v, v).
+    v's entries, which must include (v, v).  With attn split into its
+    halves a_src and a_dst, attn . [wh_v || wh_u] = (wh a_src)_v +
+    (wh a_dst)_u, as in the GAT paper: two n x 1 columns per layer and one
+    scalar of each gathered per entry, so no per-entry feature matrix is built.
     """
     if not a_hat.has_all_self_loops:
         raise InputError("GAT needs a self-looped adjacency (apply add_self_loops)")
-    per_edge = ad.concat_cols(ad.gather_rows(wh, a_hat.row_index_per_entry()),
-                              ad.gather_rows(wh, a_hat.indices))
-    scores = ad.leaky_relu(ad.matmul(per_edge, attn), cfg.leaky_slope)
+    d = wh.shape[1]
+    src = ad.matmul(wh, ad.gather_rows(attn, np.arange(d)))
+    dst = ad.matmul(wh, ad.gather_rows(attn, np.arange(d, 2 * d)))
+    scores = ad.leaky_relu(ad.add(ad.gather_rows(src, a_hat.row_index_per_entry()),
+                                  ad.gather_rows(dst, a_hat.indices)), cfg.leaky_slope)
     return ad.edge_softmax(scores, a_hat)
 
 

@@ -1,10 +1,10 @@
 """Shared builders: random graphs, the barbell graph, toy datasets, the
 dense dataset writer, a Cora-shaped dataset directory, the gate for
 optional real-dataset directories, the dense matrix of a small graph and a
-guard that forbids densifying, the finite-difference gradient
-check, and independent routes to the diffusion solution (dense Cholesky
-solve, gradient descent on the quadratic objective) that the library's
-solvers are checked against."""
+guard that forbids densifying, the finite-difference gradient check, the
+per-entry concat form of GAT attention, and independent routes to the
+diffusion solution (dense Cholesky solve, gradient descent on the
+quadratic objective) that the library's solvers are checked against."""
 
 import os
 from pathlib import Path
@@ -191,6 +191,15 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
     x.grad = None
     rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
     return float(rel.max())
+
+
+def concat_gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency,
+                         leaky_slope: float) -> Tensor:
+    """Oracle: GAT attention in the per-entry concat form, LeakyReLU([wh_v || wh_u]
+    @ attn) from two gathered nnz x d matrices, softmax over v's entries."""
+    per_edge = ad.concat_cols(ad.gather_rows(wh, a_hat.row_index_per_entry()),
+                              ad.gather_rows(wh, a_hat.indices))
+    return ad.edge_softmax(ad.leaky_relu(ad.matmul(per_edge, attn), leaky_slope), a_hat)
 
 
 def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:

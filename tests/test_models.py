@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,8 +11,8 @@ from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.models import (LayerParams, Model, ModelConfig, gat_attention, glorot_init,
                          hidden_embedding, init_params, load_checkpoint, save_checkpoint)
 
-from conftest import (dense, finite_difference_check, normalized, random_connected_graph,
-                      random_graph)
+from conftest import (concat_gat_attention, dense, finite_difference_check, normalized,
+                      random_connected_graph, random_graph)
 
 FD_TOL = 1e-4
 
@@ -134,6 +136,32 @@ def test_gat_attention_rows_sum_to_one():
         alpha = gat_attention(ad.add(ad.matmul(h, p.weight), p.bias), p.attn, a_hat, cfg)
         sums = np.add.reduceat(alpha.values[:, 0], a_hat.indptr[:-1])
         assert np.abs(sums - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_gat_attention_matches_the_concat_form(seed):
+    n = 12 + 5 * (seed - 40)
+    a_hat = normalized(random_graph(n, 0.35, seed=seed))
+    cfg = ModelConfig(kind="gat", n_layers=2, hidden_dim=6)
+    model = Model.init(cfg, 5, 3, seed=seed + 10)
+    x = Tensor(np.random.default_rng(seed).normal(size=(n, 5)))
+    for h, p in zip([x, hidden_embedding(model, x, a_hat)], model.params):
+        wh = ad.add(ad.matmul(h, p.weight), p.bias)
+        per_node = gat_attention(wh, p.attn, a_hat, cfg).values
+        concat = concat_gat_attention(wh, p.attn, a_hat, cfg.leaky_slope).values
+        assert np.abs(per_node - concat).max() < 1e-12
+
+
+def test_gat_checkpoint_of_the_concat_form_gives_the_same_logits():
+    """``data/gat_2layer.npz`` and its logits were written when GAT scored
+    entries in the concat form; the 2d x 1 ``attn`` loads unchanged."""
+    data = Path(__file__).parent / "data"
+    model = load_checkpoint(data / "gat_2layer.npz")
+    assert [p.attn.shape for p in model.params] == [(12, 1), (6, 1)]
+    a_hat = normalized(random_graph(15, 0.3, seed=32))
+    x = Tensor(np.random.default_rng(33).normal(size=(15, 5)))
+    logits = model.forward(x, a_hat).values
+    assert np.abs(logits - np.load(data / "gat_2layer_logits.npy")).max() < 1e-12
 
 
 # ------------------------------------------------------------------- appnp

@@ -172,6 +172,25 @@ def test_cora_shaped_epoch_has_no_n_by_d_operand(monkeypatch, cora_shaped, kind)
     assert max(sizes) < ds.n_nodes * ds.n_features
 
 
+def test_gat_epoch_builds_no_per_entry_feature_matrix(monkeypatch):
+    ds = two_blob_dataset(n_per=16, seed=5, edge_p=0.5)
+    ctx = DataContext.from_dataset(ds)
+    nnz = ctx.a_hat.nnz
+    assert nnz > 5 * ds.n_nodes
+    shapes = []
+
+    def spy(values, *args, _result=ad._result):
+        shapes.append(values.shape)
+        return _result(values, *args)
+
+    monkeypatch.setattr(ad, "_result", spy)
+    model = Model.init(ModelConfig(kind="gat", n_layers=2, hidden_dim=8),
+                       ds.n_features, ds.n_classes, seed=0)
+    report = train(model, ctx, small_split(ds), TrainConfig(max_epochs=1, loss=LossConfig(mu=0.5)))
+    assert report.epochs_run == 1 and (nnz, 1) in shapes
+    assert not [s for s in shapes if s[0] == nnz and s[1] > 1]
+
+
 def test_train_restores_best_epoch_parameters():
     ctx = make_ctx(seed=2)
     split = small_split(two_blob_dataset(n_per=16, seed=2), seed=1)
