@@ -46,6 +46,10 @@ __all__ = [
 
 LOG_EPS = 1e-12
 
+# Stored entries per block in edge_aggregate's weight gradient: its two
+# gathered operands are _ENTRY_BLOCK x d, whatever the graph's nnz.
+_ENTRY_BLOCK = 4096
+
 
 class Tensor:
     """Dense float64 matrix, optionally a node of a computation graph."""
@@ -280,7 +284,9 @@ def edge_softmax(scores: Tensor, adj) -> Tensor:
 def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
     """out[v] = sum over stored entries (v, u) of alpha_vu * h[u].
 
-    Differentiable in both the per-edge weights and the node features.
+    Differentiable in both the per-edge weights and the node features.  The
+    weight of entry (v, u) gets the dot product g[v] . h[u]; these are taken
+    over fixed blocks of stored entries, so no nnz x d array is built.
     """
     _check_tensor(alpha, "edge_aggregate"), _check_tensor(h, "edge_aggregate")
     if alpha.shape != (adj.nnz, 1):
@@ -291,8 +297,12 @@ def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
     mat = sp.csr_matrix((alpha.values[:, 0], adj.indices, adj.indptr), shape=(n, n))
 
     def alpha_vjp(g):
-        rows = adj.row_index_per_entry()
-        return np.einsum("ec,ec->e", g[rows], h.values[adj.indices])[:, None]
+        rows, cols = adj.row_index_per_entry(), adj.indices
+        out = np.empty((adj.nnz, 1))
+        for start in range(0, adj.nnz, _ENTRY_BLOCK):
+            s = slice(start, start + _ENTRY_BLOCK)
+            np.einsum("ec,ec->e", g[rows[s]], h.values[cols[s]], out=out[s, 0])
+        return out
 
     return _result(mat @ h.values, "edge_aggregate", (alpha, h),
                    alpha_vjp, lambda g: mat.T @ g)

@@ -58,9 +58,16 @@ class _Csr:
         n = self.n_nodes
         return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(n, n))
 
+    @cached_property
+    def _entry_rows(self) -> np.ndarray:
+        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
+        rows.setflags(write=False)
+        return rows
+
     def row_index_per_entry(self) -> np.ndarray:
-        """Row id of every stored entry, aligned with ``indices``."""
-        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
+        """Row id of every stored entry, aligned with ``indices``: one
+        read-only array, computed on the first call."""
+        return self._entry_rows
 
     @cached_property
     def has_all_self_loops(self) -> bool:

@@ -43,9 +43,10 @@ VARIANTS = ("cross_entropy", "l2")
 
 @dataclass
 class LossConfig:
-    """Combined-loss settings; reduction is always sum."""
+    """Combined-loss settings; reduction is always sum.  The default ``mu``
+    of 0 trains the fit loss alone: the regularizer is opted into."""
 
-    mu: float = 1.0
+    mu: float = 0.0
     variant: str = "cross_entropy"
 
     def __post_init__(self):

@@ -2,7 +2,8 @@
 dense dataset writer, a Cora-shaped dataset directory, the gate for
 optional real-dataset directories, the dense matrix of a small graph and a
 guard that forbids densifying, the finite-difference gradient check, the
-per-entry concat form of GAT attention, and independent routes to the
+per-entry concat form of GAT attention, the one-shot form of
+edge_aggregate's weight gradient, and independent routes to the
 diffusion solution (dense Cholesky solve, gradient descent on the
 quadratic objective) that the library's solvers are checked against."""
 
@@ -200,6 +201,12 @@ def concat_gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency,
     per_edge = ad.concat_cols(ad.gather_rows(wh, a_hat.row_index_per_entry()),
                               ad.gather_rows(wh, a_hat.indices))
     return ad.edge_softmax(ad.leaky_relu(ad.matmul(per_edge, attn), leaky_slope), a_hat)
+
+
+def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
+    """Oracle: edge_aggregate's weight gradient g[v] . h[u] for every stored
+    entry (v, u), from two gathered nnz x d matrices at once."""
+    return np.einsum("ec,ec->e", g[adj.row_index_per_entry()], h[adj.indices])[:, None]
 
 
 def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from gssl.autodiff import Tensor
 from gssl.errors import InputError, NumericError
 from gssl.graph import add_self_loops, from_edge_list
 
-from conftest import dense, finite_difference_check, normalized, random_graph
+from conftest import dense, finite_difference_check, normalized, one_shot_alpha_vjp, random_graph
 
 FD_TOL = 1e-4
 
@@ -238,6 +239,58 @@ def test_composite_graph_matches_finite_differences():
 
     x = rand_leaf(rng, 6, 4)
     assert finite_difference_check(f, x, step=1e-5) < FD_TOL
+
+
+# ------------------------------- edge_aggregate's weight gradient in blocks
+
+def aggregate_loss(a_hat, d, seed):
+    """sum(g * edge_aggregate(alpha, h, a_hat)) with random constants g and h,
+    so the gradient reaching the aggregate is g itself; returns it with alpha,
+    g and h."""
+    rng = np.random.default_rng(seed)
+    alpha = leaf(rng.uniform(size=(a_hat.nnz, 1)))
+    g, h = rng.normal(size=(a_hat.n_nodes, d)), rng.normal(size=(a_hat.n_nodes, d))
+    loss = ad.sum(ad.elementwise_mul(Tensor(g), ad.edge_aggregate(alpha, Tensor(h), a_hat)))
+    return loss, alpha, g, h
+
+
+# block size: (whole blocks, remainder) of the 480 stored entries
+BLOCK_CASES = {"nnz-below-block": (481, (0, 480)),
+               "exact-multiple": (96, (5, 0)),
+               "multiple-plus-remainder": (100, (4, 80))}
+
+
+@pytest.mark.parametrize("d", [1, 3, 64])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_blocked_alpha_vjp_is_byte_identical_to_one_shot(monkeypatch, case, d):
+    a_hat = normalized(random_graph(40, 0.3, seed=0))
+    block, split = BLOCK_CASES[case]
+    assert divmod(a_hat.nnz, block) == split
+    monkeypatch.setattr(ad, "_ENTRY_BLOCK", block)
+    loss, alpha, g, h = aggregate_loss(a_hat, d, seed=d)
+    ad.backward(loss)
+    expected = one_shot_alpha_vjp(g, h, a_hat)
+    assert alpha.grad.shape == expected.shape
+    assert alpha.grad.tobytes() == expected.tobytes()
+
+
+def test_alpha_vjp_transient_memory_is_bounded_by_the_block():
+    n, d = 300, 64
+    a_hat = normalized(random_graph(n, 0.9, seed=0))
+    assert a_hat.nnz >= 16 * ad._ENTRY_BLOCK
+    loss, alpha, _, _ = aggregate_loss(a_hat, d, seed=0)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alpha.grad.shape == (a_hat.nnz, 1)
+    # the nnz x 1 gradient and row index, two block x d gathers with their
+    # product, and the n x d gradients above the aggregate; gathering all
+    # entries at once would take 2 nnz x d x 8 bytes (83 MB here)
+    bound = 2 * a_hat.nnz * 8 + 4 * ad._ENTRY_BLOCK * d * 8 + 4 * n * d * 8
+    assert peak < bound, f"backward peaked at {peak} bytes, bound {bound}"
 
 
 # ------------------------------------------------------------------ errors

@@ -7,7 +7,7 @@ from gssl.errors import InputError
 from gssl.graph import (add_self_loops, degrees, from_edge_list, read_edge_list,
                         sym_normalize)
 
-from conftest import dense, normalized, random_graph
+from conftest import dense, normalized, random_graph, random_pairs
 
 
 def test_from_edge_list_path_graph():
@@ -144,6 +144,33 @@ def test_read_edge_list_reports_line_numbers(tmp_path):
     p.write_text("0 x\n", encoding="ascii")
     with pytest.raises(InputError, match=":1"):
         read_edge_list(p)
+
+
+@pytest.mark.parametrize("kind", ["graph", "normalized"])
+def test_row_index_per_entry_is_one_cached_read_only_array(kind):
+    g = random_graph(30, 0.2, seed=4)
+    adj = g if kind == "graph" else normalized(g)
+    rows = adj.row_index_per_entry()
+    assert adj.row_index_per_entry() is rows
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.repeat(np.arange(adj.n_nodes), np.diff(adj.indptr)))
+    with pytest.raises(ValueError):
+        rows[0] = 1
+
+
+def test_row_index_users_match_the_dense_graph():
+    # two of the 30 nodes carry a self-loop, so the graph has some but not all
+    g = from_edge_list(random_pairs(30, 0.2, np.random.default_rng(4)) + [(0, 0), (3, 3)], 30)
+    a = dense(g)
+    g_sl = add_self_loops(g)
+    assert np.array_equal(dense(g_sl), np.maximum(a, np.eye(30)))
+    assert np.array_equal(degrees(g), a.sum(axis=1))
+    assert g.n_undirected_edges == int(np.triu(a).sum())
+    assert (g.has_all_self_loops, g_sl.has_all_self_loops) == (False, True)
+    inv_sqrt = 1.0 / np.sqrt(dense(g_sl).sum(axis=1))
+    rows = np.repeat(np.arange(30), np.diff(g_sl.indptr))
+    per_entry = g_sl.values * inv_sqrt[rows] * inv_sqrt[g_sl.indices]
+    assert sym_normalize(g_sl).values.tobytes() == per_entry.tobytes()
 
 
 def test_graph_arrays_immutable():

@@ -251,6 +251,11 @@ def test_combined_mu_zero_recovers_fit_exactly():
         assert ours == fit_fn(Tensor(z_vals), y).values[0, 0]
 
 
+def test_default_mu_is_zero():
+    # a caller who does not set mu trains the fit loss alone (the test above)
+    assert LossConfig().mu == 0.0
+
+
 def test_combined_l2_matches_scalar_loop_eq_form():
     rng = np.random.default_rng(11)
     a_hat = normalized(random_graph(15, 0.25, seed=6))

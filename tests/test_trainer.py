@@ -90,7 +90,8 @@ def train_on_scripted_val_losses(monkeypatch, val_losses, patience):
     ctx = make_ctx(seed=3)
     split = small_split(two_blob_dataset(n_per=16, seed=3))
     model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), 4, 2, seed=4)
-    cfg = TrainConfig(max_epochs=len(val_losses), patience=patience, seed=4)
+    cfg = TrainConfig(max_epochs=len(val_losses), patience=patience, seed=4,
+                      loss=LossConfig(mu=1.0))
     report = train(model, ctx, split, cfg)
     return report, model.state_values(), snapshots
 
