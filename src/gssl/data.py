@@ -1,18 +1,23 @@
 """Dataset ingestion for citation-style node classification and the random
 split protocol.
 
-A dataset directory holds three plain-text files:
+A dataset directory holds three ASCII text files.  A line ends in LF,
+CRLF or CR, and the words on it are split by blanks and tabs; any other
+byte below 0x20 or above 0x7e fails the load with its file and line.
 
-* ``graph.edges``   one whitespace-separated ``u v`` pair per line,
-  0-based ids, ``#`` comments ignored;
+* ``graph.edges``   one ``u v`` pair per line, 0-based ids; blank lines
+  and lines starting with ``#`` are ignored;
 * ``features.csv``  one row per node of comma-separated reals, or a
   sparse form whose first line is ``#sparse d=<d>`` followed by
-  space-separated ``idx:value`` pairs per row (blank row = zero row);
+  ``idx:value`` pairs per row (blank row = zero row);
 * ``labels.txt``    one integer class id per line.
 
-Either feature format loads into a :class:`FeatureMatrix`, a CSR matrix
-that stores only the nonzero (or explicitly listed) entries; the loader,
-the row normalization and the models never hold the dense n x d array.
+Each file is parsed a block of lines at a time by a few whole-block array
+calls; only a block that fails is read again line by line, to name the
+bad line.  Either feature format loads into a :class:`FeatureMatrix`, a
+CSR matrix that stores only the nonzero (or explicitly listed) entries;
+the loader, the row normalization and the models never hold the dense
+n x d array.
 
 A split takes ``ell`` labeled training nodes per class, then 500
 validation and 1000 test nodes sampled uniformly (in that order, so
@@ -22,7 +27,6 @@ seeds reproduce across implementations); all three sets are disjoint.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -31,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-from .graph import Graph, from_edge_list, read_edge_list
+from .graph import (Graph, _line_counts, _numbers, _parse_lines, _words, from_edge_list,
+                    read_edge_list)
 
 __all__ = [
     "FeatureMatrix",
@@ -81,11 +86,9 @@ class LabeledDataset:
             raise InputError(f"label count ({self.labels.shape[0]}) != graph nodes ({n})")
         if self.labels.min() < 0:
             raise InputError("negative class id")
-        present = np.unique(self.labels)
-        expected = np.arange(self.n_classes)
-        if present.shape != expected.shape or np.any(present != expected):
-            missing = sorted(set(expected.tolist()) - set(present.tolist()))
-            raise InputError(f"classes {missing} have no nodes")
+        missing = np.flatnonzero(np.bincount(self.labels) == 0)
+        if missing.size:
+            raise InputError(f"classes {missing.tolist()} have no nodes")
         for arr in (self.features.data, self.features.indices, self.features.indptr):
             arr.setflags(write=False)
         self.labels.setflags(write=False)
@@ -136,11 +139,6 @@ class Split:
         )
 
 
-# Space- or tab-separated idx:value pairs, idx a plain integer; may be blank.
-# (str.splitlines has already split at every other ASCII whitespace.)
-_SPARSE_ROW = re.compile(r"[ \t]*(?:[0-9]+:[^ \t:]+(?:[ \t]+|\Z))*")
-
-
 def _sparse_dimension(path: Path, header: str) -> int:
     parts = header.split("d=")
     if len(parts) != 2:
@@ -154,56 +152,57 @@ def _sparse_dimension(path: Path, header: str) -> int:
     return d
 
 
-def _sparse_row(path: Path, lineno: int, line: str) -> tuple[np.ndarray, np.ndarray]:
-    """Column ids and values of one ``idx:value`` row."""
-    if not _SPARSE_ROW.fullmatch(line):
-        raise InputError(f"{path}:{lineno}: expected space-separated idx:value pairs")
-    if ":" not in line:  # a blank row; np.fromstring reads bare whitespace as [-1]
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    try:
-        pairs = np.fromstring(line.replace(":", " "), sep=" ")
-    except ValueError:
-        raise InputError(f"{path}:{lineno}: non-numeric feature value") from None
-    return pairs[0::2].astype(np.int64), pairs[1::2]
+def _sparse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row lengths, column ids and values of whole lines of ``idx:value`` pairs."""
+    b, starts, ends, counts = _words(text)
+    at = np.flatnonzero(b == ord(":"))
+    flip = np.zeros(b.size + 1, bool)
+    flip[at + 1] = flip[ends] = True
+    value = np.logical_xor.accumulate(flip[:-1])  # the bytes after a word's colon
+    index = np.maximum(b * ~value, ord(" ")).tobytes().replace(b":", b" ")  # all else blank
+    # each word: one colon, digits before it and something after it
+    if (at.size != starts.size or np.any(at <= starts) or np.any(at >= ends - 1)
+            or index.translate(None, b" 0123456789")):
+        raise InputError("expected space-separated idx:value pairs")
+    vals = _numbers(np.maximum(b * value, ord(" ")).tobytes(), starts.size, np.float64)
+    if vals is None:
+        raise InputError("non-numeric feature value")
+    return counts, _numbers(index, starts.size), vals
 
 
-def _dense_row(path: Path, lineno: int, line: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column ids and values of the nonzeros of one comma-separated row."""
-    if not line.strip():
-        raise InputError(f"{path}:{lineno}: blank feature row in dense format")
-    try:
-        row = np.fromstring(line, sep=",")
-    except ValueError:
-        row = None
-    if row is None or row.size != line.count(",") + 1:  # fromstring takes a trailing comma
-        raise InputError(f"{path}:{lineno}: non-numeric feature value")
-    if row.size != d:
-        raise InputError(f"{path}:{lineno}: expected {d} values, got {row.size}")
-    cols = np.flatnonzero(row)
-    return cols, row[cols]
+def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row lengths, column ids and values of the nonzeros of whole lines of
+    comma-separated values."""
+    b, _, _, counts = _words(text)
+    if np.any(counts == 0):
+        raise InputError("blank feature row in dense format")
+    fields = _line_counts(b, np.flatnonzero(b == ord(","))) + 1
+    rows = _numbers(text.replace(b"\n", b","), fields.sum(), np.float64, sep=",")
+    if rows is None:  # a trailing comma leaves one value short
+        raise InputError("non-numeric feature value")
+    if np.any(fields != d):
+        raise InputError(f"expected {d} values, got {fields[fields != d][0]}")
+    rows = rows.reshape(-1, d)
+    r, c = np.nonzero(rows)
+    return np.bincount(r, minlength=fields.size), c, rows[r, c]
 
 
 def _parse_features(path: Path) -> FeatureMatrix:
-    """The feature file as CSR, parsed one line at a time with no dense n x d copy."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """The feature file as CSR, parsed in blocks of lines with no dense n x d copy."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        header = fh.readline()  # the whole file is checked to be ASCII below
+    if not header:
         raise InputError(f"{path}: empty feature file")
-    if lines[0].startswith("#sparse"):
-        d, first, parse = _sparse_dimension(path, lines[0]), 2, _sparse_row
+    if header.startswith("#sparse"):
+        d, first, parse = _sparse_dimension(path, header.rstrip("\n")), 2, _sparse_rows
     else:
-        d, first = lines[0].count(",") + 1, 1
-        parse = partial(_dense_row, d=d)
-    cols, vals = [], []
-    for lineno, line in enumerate(lines[first - 1:], start=first):
-        c, v = parse(path, lineno, line)
-        cols.append(c)
-        vals.append(v)
-    if not cols:
+        d, first = header.count(",") + 1, 1
+        parse = partial(_dense_rows, d=d)
+    counts, indices, data = _parse_lines(path, parse, first)
+    if not counts.size:
         raise InputError(f"{path}: no feature rows")
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum([c.size for c in cols], out=indptr[1:])
-    indices, data = np.concatenate(cols), np.concatenate(vals)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
 
     def line_of(entry) -> int:
         return first - 1 + int(np.searchsorted(indptr, entry, side="right"))
@@ -215,7 +214,7 @@ def _parse_features(path: Path) -> FeatureMatrix:
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise InputError(f"{path}:{line_of(bad[0])}: non-finite feature value")
-    features = FeatureMatrix((data, indices, indptr), shape=(len(cols), d))
+    features = FeatureMatrix((data, indices, indptr), shape=(counts.size, d))
     if not features.has_canonical_format:  # a row lists its indices out of order or twice
         features.sort_indices()
         again = np.flatnonzero(np.diff(features.indices) == 0)
@@ -226,18 +225,15 @@ def _parse_features(path: Path) -> FeatureMatrix:
     return features
 
 
-def _parse_labels(path: Path) -> np.ndarray:
-    labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise InputError(f"{path}:{lineno}: blank label line")
-            try:
-                labels.append(int(stripped))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-integer class id {stripped!r}") from None
-    return np.asarray(labels, dtype=np.int64)
+def _label_lines(text: bytes) -> tuple[np.ndarray]:
+    """The class ids of whole lines of a label file."""
+    _, starts, _, counts = _words(text)
+    labels = _numbers(text, starts.size)
+    if np.all(counts == 1) and labels is not None:
+        return labels,
+    if np.any(counts == 0):
+        raise InputError("blank label line")
+    raise InputError(f"non-integer class id {text.strip().decode()!r}")
 
 
 def load_dataset(directory) -> LabeledDataset:
@@ -246,7 +242,7 @@ def load_dataset(directory) -> LabeledDataset:
     for fname in ("graph.edges", "features.csv", "labels.txt"):
         if not (directory / fname).is_file():
             raise InputError(f"{directory}: missing {fname}")
-    labels = _parse_labels(directory / "labels.txt")
+    labels, = _parse_lines(directory / "labels.txt", _label_lines)
     features = _parse_features(directory / "features.csv")
     n = labels.shape[0]
     if features.shape[0] != n:

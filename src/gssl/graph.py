@@ -16,8 +16,10 @@ fixed-point iteration.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,7 +110,8 @@ class NormalizedAdjacency(_Csr):
 
 def _csr_from_pairs(rows: np.ndarray, cols: np.ndarray, n_nodes: int):
     """Dedup (row, col) pairs and return sorted CSR arrays with unit values."""
-    keys = np.unique(rows.astype(np.int64) * n_nodes + cols.astype(np.int64))
+    keys = np.sort(rows.astype(np.int64) * n_nodes + cols.astype(np.int64))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique's hash table is slower here
     rows_u = keys // n_nodes
     cols_u = keys % n_nodes
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
@@ -131,7 +134,7 @@ def from_edge_list(pairs, n_nodes: int) -> Graph:
     """
     if n_nodes <= 0:
         raise InputError(f"n_nodes must be positive, got {n_nodes}")
-    arr = np.asarray(list(pairs), dtype=np.int64)
+    arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -159,9 +162,7 @@ def add_self_loops(g: Graph) -> Graph:
 
 def degrees(g: _Csr) -> np.ndarray:
     """Row sums of the stored values (weighted degree)."""
-    out = np.zeros(g.n_nodes)
-    np.add.at(out, g.row_index_per_entry(), g.values)
-    return out
+    return np.bincount(g.row_index_per_entry(), weights=g.values, minlength=g.n_nodes)
 
 
 def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
@@ -192,32 +193,84 @@ def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
     )
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse an edge-list file: one whitespace-separated "u v" pair per
-    line, 0-based integer ids; lines starting with '#' and blank lines
-    are ignored.
+def read_edge_list(path) -> np.ndarray:
+    """The (m, 2) int64 array of an edge-list file: one "u v" pair of 0-based
+    ids per line, split by blanks or tabs; lines starting with '#' and blank
+    lines are skipped.  A malformed line raises InputError with its number."""
+    ids, = _parse_lines(path, _edge_lines)
+    return ids.reshape(-1, 2)
 
-    Raises
-    ------
-    InputError
-        On a malformed line, with its 1-based line number.
-    """
-    pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: non-integer node id in {stripped!r}"
-                ) from None
-            if u < 0 or v < 0:
-                raise InputError(f"{path}:{lineno}: negative node id in {stripped!r}")
-            pairs.append((u, v))
-    return pairs
+
+_BLOCK_LINES = 1024  # lines per array parse: bounds the parser's transient arrays
+_TEXT_BYTES = bytes(range(32, 127)) + b"\t\n"
+
+
+def _parse_lines(path, parse, first: int = 1) -> list[np.ndarray]:
+    """A text file's lines from line ``first`` on, ``_BLOCK_LINES`` at a time:
+    ``parse`` maps whole lines to a tuple of arrays, joined over the blocks.
+    CRLF and CR end a line as LF does.  If ``parse`` rejects a block, its
+    lines are parsed one by one so that the InputError names the bad line;
+    so does a byte that is not printable ASCII, a tab or a line end."""
+    text = Path(path).read_bytes()
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if text.translate(None, _TEXT_BYTES):
+        at = re.search(rb"[^\t\n -~]", text).start()
+        lineno = text.count(b"\n", 0, at) + 1
+        raise InputError(f"{path}:{lineno}: byte 0x{text[at]:02x} is not printable ASCII")
+    line_starts = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+    cuts = (line_starts[first - 1::_BLOCK_LINES].tolist() or [len(text)]) + [len(text)]
+    blocks = []
+    for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        try:
+            blocks.append(parse(text[start:stop]))
+        except InputError as whole:
+            lines = text[start:stop].splitlines(keepends=True)
+            for lineno, line in enumerate(lines, start=first + k * _BLOCK_LINES):
+                try:
+                    parse(line)
+                except InputError as err:
+                    raise InputError(f"{path}:{lineno}: {err}") from None
+            raise InputError(f"{path}: {whole}") from None
+    del text  # the blocks are joined without the file's bytes
+    return [np.concatenate(arrays) for arrays in zip(*blocks)]
+
+
+def _words(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``text`` as uint8, the start and end offsets of its space- or
+    tab-separated words, and the number of words on each line."""
+    b = np.frombuffer(text, np.uint8)
+    in_word = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
+    bounds = np.flatnonzero(np.diff(in_word, prepend=False, append=False))
+    return b, bounds[0::2], bounds[1::2], _line_counts(b, bounds[0::2])
+
+
+def _line_counts(b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """How many of the sorted offsets ``at`` fall on each line of ``b``."""
+    line_ends = np.flatnonzero(np.append(b == ord("\n"), b[-1:] != ord("\n")))
+    return np.diff(np.searchsorted(at, line_ends), prepend=0)
+
+
+def _numbers(text: bytes, n_words: int, dtype=np.int64, sep=" ") -> np.ndarray | None:
+    """The ``n_words`` numbers of ``text`` as ``dtype``; None if any is not one."""
+    if not n_words:  # np.fromstring reads bare whitespace as one number
+        return np.empty(0, dtype)
+    try:
+        out = np.fromstring(text, dtype=dtype, sep=sep)
+    except ValueError:
+        return None
+    return out if out.size == n_words else None
+
+
+def _edge_lines(text: bytes) -> tuple[np.ndarray]:
+    """The node ids of whole lines of an edge list, in order."""
+    if b"#" in text:
+        text = re.sub(rb"(?m)^[ \t]*#.*", b"", text)
+    _, starts, _, counts = _words(text)
+    ids = _numbers(text, starts.size)
+    if np.all((counts == 0) | (counts == 2)) and ids is not None and not np.any(ids < 0):
+        return ids,
+    line = text.strip().decode()
+    if np.any((counts != 0) & (counts != 2)):
+        raise InputError(f"expected 'u v', got {line!r}")
+    raise InputError(f"{'non-integer' if ids is None else 'negative'} node id in {line!r}")

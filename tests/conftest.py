@@ -1,7 +1,8 @@
 """Shared builders: random graphs, the barbell graph, toy datasets, the
-dense dataset writer, a Cora-shaped dataset directory, the gate for
-optional real-dataset directories, the dense matrix of a small graph and a
-guard that forbids densifying, the finite-difference gradient check, the
+dense dataset writer, a Cora-shaped dataset directory, the per-token
+oracle of the ``#sparse`` feature format, the gate for optional
+real-dataset directories, the dense matrix of a small graph and a guard
+that forbids densifying, the finite-difference gradient check, the
 per-entry concat form of GAT attention, the one-shot form of
 edge_aggregate's weight gradient, and independent routes to the
 diffusion solution (dense Cholesky solve, gradient descent on the
@@ -148,6 +149,17 @@ def write_cora_shaped(directory, seed=0, n=2708, m=5429, c=7, d=1433, words=18) 
     (directory / "labels.txt").write_text("".join(f"{y}\n" for y in labels.tolist()),
                                           encoding="ascii")
     return directory
+
+
+def reference_parse(path, d):
+    """The per-token loop of a ``#sparse`` file, one dense row per line."""
+    lines = path.read_text(encoding="ascii").splitlines()[1:]
+    out = np.zeros((len(lines), d))
+    for i, line in enumerate(lines):
+        for tok in line.split():
+            idx, val = tok.split(":")
+            out[i, int(idx)] = float(val)
+    return out
 
 
 def dataset_root() -> Path:

@@ -390,6 +390,11 @@ def header_only_sparse_features(data_dir, ds, ckpt):
     return "features.csv: no feature rows"
 
 
+def non_ascii_byte_in_labels(data_dir, ds, ckpt):
+    (data_dir / "labels.txt").write_bytes(b"0\n1\xff\n" + b"1\n" * (ds.n_nodes - 2))
+    return "labels.txt:2: byte 0xff is not printable ASCII"
+
+
 def text_checkpoint(data_dir, ds, ckpt):
     ckpt.write_text("not a checkpoint\n", encoding="ascii")
     return str(ckpt)
@@ -409,12 +414,13 @@ def checkpoint_without(entry):
     (inf_in_sparse_features, "propagate"),
     (negative_sparse_dimension, "propagate"),
     (header_only_sparse_features, "propagate"),
+    (non_ascii_byte_in_labels, "propagate"),
     (text_checkpoint, "export-embeddings"),
     (checkpoint_without("config"), "export-embeddings"),
     (checkpoint_without("weight_1"), "export-embeddings"),
 ], ids=["nan-dense-feature", "inf-sparse-feature", "negative-sparse-dimension",
-        "header-only-sparse-features", "text-checkpoint", "npz-without-config",
-        "npz-without-last-weight"])
+        "header-only-sparse-features", "non-ascii-label", "text-checkpoint",
+        "npz-without-config", "npz-without-last-weight"])
 def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
     data_dir, ds = write_blobs(tmp_path)
     ckpt = tmp_path / "model.npz"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,9 +7,9 @@ import scipy.sparse as sp
 from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
                        make_splits, row_normalize_features, save_splits)
 from gssl.errors import InputError
-from gssl.graph import degrees
+from gssl.graph import degrees, read_edge_list
 
-from conftest import require_dataset, save_dataset, two_blob_dataset
+from conftest import reference_parse, require_dataset, save_dataset, two_blob_dataset
 
 
 def write_toy_dir(tmp_path, sparse=False):
@@ -47,17 +49,6 @@ def test_sparse_and_dense_features_agree(tmp_path):
     assert dense.features.nnz == 6  # the zeros of the dense file are not stored
 
 
-def reference_parse(path, d):
-    """The per-token loop of a ``#sparse`` file, one dense row per line."""
-    lines = path.read_text(encoding="ascii").splitlines()[1:]
-    out = np.zeros((len(lines), d))
-    for i, line in enumerate(lines):
-        for tok in line.split():
-            idx, val = tok.split(":")
-            out[i, int(idx)] = float(val)
-    return out
-
-
 def test_sparse_parse_matches_a_per_token_reference(tmp_path):
     rng = np.random.default_rng(3)
     d = write_toy_dir(tmp_path, sparse=True)
@@ -70,6 +61,106 @@ def test_sparse_parse_matches_a_per_token_reference(tmp_path):
     path = d / "features.csv"
     path.write_text("#sparse d=40\n" + "\n".join(rows) + "\n", encoding="ascii")
     assert np.array_equal(load_dataset(d).features.toarray(), reference_parse(path, 40))
+
+
+PUBMED_ROWS, PUBMED_PAIRS = 19717, 50  # Pubmed's node count and about its pairs per row
+
+
+@pytest.fixture(scope="module")
+def pubmed_sized(tmp_path_factory):
+    """A dataset directory with Pubmed's row count and about its pairs per
+    row, loaded under tracemalloc.  A row lists distinct columns of 0..99
+    in random order, with values in repr and %g form; pairs are split by a
+    blank, a tab or a run of both, every fifth row has trailing blanks and
+    the last two rows are empty.  The edge list has comment lines, blank
+    lines, tabs and trailing blanks.  Returns the directory, the dimension,
+    the edge pairs, the loaded dataset and the peak traced memory."""
+    n, d = PUBMED_ROWS, 100
+    rng = np.random.default_rng(5)
+    values = rng.gamma(2.0, 0.05, 64) * 10.0 ** rng.integers(-6, 6, 64)
+    tokens = [f"{c}:{v!r}" if k % 2 else f"{c}:{v:g}"
+              for c in range(d) for k, v in enumerate(values.tolist())]
+    picks = (rng.random((n, d)).argsort(axis=1)[:, :PUBMED_PAIRS] * values.size
+             + rng.integers(0, values.size, (n, PUBMED_PAIRS)))
+    counts = rng.integers(PUBMED_PAIRS - 10, PUBMED_PAIRS + 1, n)
+    counts[-2:] = 0
+    rows = [(" ", "\t", " \t  ")[i % 3].join(map(tokens.__getitem__, picks[i, :k].tolist()))
+            + "  " * (i % 5 == 0 and k > 0) for i, k in enumerate(counts.tolist())]
+    directory = tmp_path_factory.mktemp("pubmed_sized")
+    (directory / "features.csv").write_text(f"#sparse d={d}\n" + "\n".join(rows) + "\n",
+                                            encoding="ascii")
+    (directory / "labels.txt").write_text("".join(f"{i % 3}\n" for i in range(n)),
+                                          encoding="ascii")
+    pairs = rng.integers(0, n, (2 * n, 2))
+    lines = [f"{u}{sep}{v}{' ' * (i % 3)}"
+             for i, ((u, v), sep) in enumerate(zip(pairs.tolist(), [" ", "\t"] * n))]
+    lines[n:n] = ["  # a comment between pairs", "", "\t"]
+    (directory / "graph.edges").write_text("# pubmed-sized\n\n" + "\n".join(lines) + "\n",
+                                           encoding="ascii")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(directory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return directory, d, pairs, ds, peak
+
+
+def test_pubmed_sized_sparse_file_matches_a_per_token_reference(pubmed_sized):
+    directory, d, pairs, ds, _ = pubmed_sized
+    expected = reference_parse(directory / "features.csv", d)
+    assert ds.features.shape == expected.shape
+    assert ds.features.toarray().tobytes() == expected.tobytes()
+    assert ds.features.nnz == np.count_nonzero(expected)
+    assert np.array_equal(read_edge_list(directory / "graph.edges"), pairs)
+
+
+def test_crlf_line_ends_without_a_final_newline_load_the_same(pubmed_sized, tmp_path):
+    directory, _, pairs, ds, _ = pubmed_sized
+    for name in ("features.csv", "labels.txt", "graph.edges"):
+        text = (directory / name).read_text(encoding="ascii").rstrip("\n")
+        if name == "features.csv":  # keep the two blank rows, the last without a newline
+            text += "\n \n\t"
+        (tmp_path / name).write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    crlf = load_dataset(tmp_path)
+    assert same_csr(crlf.features, ds.features) and crlf.features.dtype == ds.features.dtype
+    assert np.array_equal(crlf.labels, ds.labels)
+    assert same_csr(crlf.graph.scipy, ds.graph.scipy)
+    assert np.array_equal(read_edge_list(tmp_path / "graph.edges"), pairs)
+
+
+# Measured peaks: 2.2x the files' size for both tests below.  A parser that
+# keeps a Python string per line and two arrays per row peaks at 3.9x (sparse)
+# and 6.4x (dense).
+PEAK_PER_FILE_BYTE = 3
+
+
+def test_pubmed_sized_load_peaks_within_a_few_file_sizes(pubmed_sized):
+    directory, _, _, _, peak = pubmed_sized
+    size = sum((directory / name).stat().st_size
+               for name in ("features.csv", "labels.txt", "graph.edges"))
+    assert peak < PEAK_PER_FILE_BYTE * size, f"loading {size} bytes peaked at {peak} bytes"
+
+
+def test_dense_features_load_in_row_blocks(tmp_path):
+    n, d = 40000, 50
+    rng = np.random.default_rng(6)
+    text = np.full((n, 2 * d), ord(","), dtype=np.uint8)  # one digit and a comma per value
+    text[:, 0::2] = np.where(rng.random((n, d)) < 0.05, rng.integers(1, 10, (n, d)), 0) + ord("0")
+    text[:, -1] = ord("\n")
+    (tmp_path / "features.csv").write_bytes(text.tobytes())
+    (tmp_path / "labels.txt").write_text("".join(f"{i % 3}\n" for i in range(n)), encoding="ascii")
+    (tmp_path / "graph.edges").write_text("0 1\n", encoding="ascii")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.toarray().tobytes() == (text[:, 0::2] - ord("0")).astype(float).tobytes()
+    size = sum(f.stat().st_size for f in tmp_path.iterdir())
+    # the n x d float64 array alone would take 4x the feature file
+    assert peak < PEAK_PER_FILE_BYTE * size < n * d * 8, f"{size} bytes peaked at {peak} bytes"
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -107,6 +198,32 @@ def test_feature_file_errors_carry_line_numbers(tmp_path):
     (d2 / "features.csv").write_text("#sparse d=3\n0:1\n9:1\n\n0:1\n", encoding="ascii")
     with pytest.raises(InputError, match="features.csv:3"):
         load_dataset(d2)
+
+
+@pytest.mark.parametrize("name, line", [("features.csv", 3), ("labels.txt", 2),
+                                        ("graph.edges", 4)])
+@pytest.mark.parametrize("byte", [b"\xff", b"\x00", b"\x0b"], ids=["0xff", "0x00", "0x0b"])
+def test_a_byte_that_is_not_ascii_text_names_its_line(tmp_path, name, line, byte):
+    d = write_toy_dir(tmp_path)
+    lines = (d / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:1] + byte + lines[line - 1][1:]
+    (d / name).write_bytes(b"\n".join(lines))
+    with pytest.raises(InputError, match=f"{name}:{line}: byte 0x{byte[0]:02x} is not printable"):
+        load_dataset(d)
+
+
+def test_a_bad_line_past_the_first_block_is_named(tmp_path):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "labels.txt").write_text("0\n" * 2499 + "x\n" + "1\n" * 500, encoding="ascii")
+    with pytest.raises(InputError, match="labels.txt:2500: non-integer class id 'x'"):
+        load_dataset(d)
+    (d / "labels.txt").write_text("0\n1\n1\n0\n", encoding="ascii")
+    (d / "features.csv").write_text("#sparse d=3\n" + "0:1\n" * 2500 + "1:x\n", encoding="ascii")
+    with pytest.raises(InputError, match="features.csv:2502: non-numeric feature value"):
+        load_dataset(d)
+    (d / "graph.edges").write_text("0 1\n" * 2999 + "0 -1\n", encoding="ascii")
+    with pytest.raises(InputError, match="graph.edges:3000: negative node id in '0 -1'"):
+        read_edge_list(d / "graph.edges")
 
 
 @pytest.mark.parametrize("body, named", [

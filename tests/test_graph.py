@@ -133,7 +133,7 @@ def test_normalized_row_sums_match_dense():
 def test_read_edge_list(tmp_path):
     p = tmp_path / "graph.edges"
     p.write_text("# comment\n0 1\n\n 1 2 \n", encoding="ascii")
-    assert read_edge_list(p) == [(0, 1), (1, 2)]
+    assert read_edge_list(p).tolist() == [[0, 1], [1, 2]]
 
 
 def test_read_edge_list_reports_line_numbers(tmp_path):
