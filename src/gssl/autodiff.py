@@ -5,11 +5,18 @@ constant left factor of :func:`spmm` (the normalized adjacency, its
 Laplacian or the CSR feature matrix), which takes no gradient.  Each op
 passes one vector-Jacobian function per input to ``_result``, which keeps
 only the inputs that take a gradient (``requires_grad`` leaves and the
-results computed from them), so a constant's gradient is never computed.  The
-computation graph is the DAG of those parent links.  ``backward`` walks it
-in reverse topological order and accumulates gradients into every
-``requires_grad`` leaf.  There is no global state: independent graphs can
-be built and differentiated concurrently.
+results computed from them), so a constant's gradient is never computed.
+
+The computation graph is kept apart from the values.  Its vertices are the
+``requires_grad`` leaves and one ``_Node`` per op output that takes a
+gradient; a node holds its parents' vertices and its VJP, and no values.
+A VJP keeps only the arrays it reads (a ReLU its mask, a matmul its other
+factor), so an intermediate whose values no VJP reads is freed as soon as
+the caller drops its ``Tensor``.  ``backward`` walks the graph in reverse
+topological order, accumulates gradients into every ``requires_grad``
+leaf, and releases each node's parents and VJP once it has called it: a
+graph is differentiated once.  There is no global state: independent
+graphs can be built and differentiated concurrently.
 
 All ops validate shapes (only row-vector bias addition may broadcast) and
 raise :class:`NumericError` as soon as a forward pass produces NaN/Inf.
@@ -51,10 +58,23 @@ LOG_EPS = 1e-12
 _ENTRY_BLOCK = 4096
 
 
-class Tensor:
-    """Dense float64 matrix, optionally a node of a computation graph."""
+class _Node:
+    """The graph vertex of one op output: the vertices of the inputs that take
+    a gradient and the VJP that maps the output's gradient to a tuple of
+    theirs, one VJP function per input."""
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "_parents", "_vjp")
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, fns: tuple):
+        self.parents = parents
+        self.vjp = lambda g: tuple(f(g) for f in fns)
+
+
+class Tensor:
+    """Dense float64 matrix.  A ``requires_grad`` leaf is its own graph
+    vertex; an op output that takes a gradient points to its ``_Node``."""
+
+    __slots__ = ("values", "grad", "requires_grad", "op", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -65,12 +85,31 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def _vertex(self):
+        return self if self._node is None else self._node
+
+    @property
+    def _parents(self) -> tuple:
+        """The graph vertices this output's gradient flows to; () for a leaf,
+        a constant or a node that ``backward`` has released."""
+        return (self._node.parents or ()) if self._node is not None else ()
+
+    @property
+    def _vjp(self):
+        """Output gradient -> tuple of gradients aligned with ``_parents``;
+        None for a leaf or a constant.  Assignable, to wrap it."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, fn):
+        self._node.vjp = fn
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -78,20 +117,18 @@ class Tensor:
 
 def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], *vjps) -> Tensor:
     """Wrap an op's output.  ``vjps[i]`` maps the output gradient to
-    ``parents[i]``'s; only parents that take a gradient are kept, so
-    ``_vjp`` returns a tuple aligned with ``_parents`` and is None when the
-    output is a constant."""
+    ``parents[i]``'s; only parents that take a gradient are kept, and the
+    output gets a ``_Node`` only if one is kept.  The VJPs must hold the
+    arrays they read, not the input tensors."""
     out = Tensor.__new__(Tensor)
     out.values = values
     if not np.isfinite(values).all():
         raise NumericError(f"op {op!r} produced non-finite values")
     out.grad = None
     out.op = op
-    kept = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
+    kept = [(p._vertex, f) for p, f in zip(parents, vjps) if p.requires_grad]
     out.requires_grad = bool(kept)
-    out._parents = tuple(p for p, _ in kept)
-    fns = [f for _, f in kept]
-    out._vjp = (lambda g: tuple(f(g) for f in fns)) if kept else None
+    out._node = _Node(*zip(*kept)) if kept else None
     return out
 
 
@@ -105,8 +142,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "matmul"), _check_tensor(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise InputError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _result(a.values @ b.values, "matmul", (a, b),
-                   lambda g: g @ b.values.T, lambda g: a.values.T @ g)
+    av, bv = a.values, b.values
+    return _result(av @ bv, "matmul", (a, b), lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -137,8 +174,8 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "elementwise_mul"), _check_tensor(b, "elementwise_mul")
     if a.shape != b.shape:
         raise InputError(f"elementwise_mul shape mismatch: {a.shape} * {b.shape}")
-    return _result(a.values * b.values, "elementwise_mul", (a, b),
-                   lambda g: g * b.values, lambda g: g * a.values)
+    av, bv = a.values, b.values
+    return _result(av * bv, "elementwise_mul", (a, b), lambda g: g * bv, lambda g: g * av)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -168,11 +205,7 @@ def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     _check_tensor(a, "relu")
     mask = a.values > 0
-
-    def vjp(g):
-        return np.where(mask, g, 0.0)
-
-    return _result(np.where(mask, a.values, 0.0), "relu", (a,), vjp)
+    return _result(np.maximum(a.values, 0.0), "relu", (a,), lambda g: g * mask)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -198,8 +231,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 def sum(a: Tensor) -> Tensor:
     """Sum of all entries, as a 1x1 tensor."""
     _check_tensor(a, "sum")
-    return _result(np.array([[a.values.sum()]]), "sum", (a,),
-                   lambda g: np.full(a.shape, g[0, 0]))
+    shape = a.shape
+    return _result(np.array([[a.values.sum()]]), "sum", (a,), lambda g: np.full(shape, g[0, 0]))
 
 
 def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
@@ -243,8 +276,10 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise InputError("gather_rows index out of range")
 
+    shape = a.shape
+
     def vjp(g):
-        out = np.zeros(a.shape)
+        out = np.zeros(shape)
         np.add.at(out, idx, g)
         return out
 
@@ -293,7 +328,7 @@ def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
         raise InputError(f"edge_aggregate expects ({adj.nnz}, 1) weights, got {alpha.shape}")
     if h.shape[0] != adj.n_nodes:
         raise InputError(f"edge_aggregate feature rows {h.shape[0]} != n_nodes {adj.n_nodes}")
-    n = adj.n_nodes
+    n, hv = adj.n_nodes, h.values
     mat = sp.csr_matrix((alpha.values[:, 0], adj.indices, adj.indptr), shape=(n, n))
 
     def alpha_vjp(g):
@@ -301,47 +336,58 @@ def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
         out = np.empty((adj.nnz, 1))
         for start in range(0, adj.nnz, _ENTRY_BLOCK):
             s = slice(start, start + _ENTRY_BLOCK)
-            np.einsum("ec,ec->e", g[rows[s]], h.values[cols[s]], out=out[s, 0])
+            np.einsum("ec,ec->e", g[rows[s]], hv[cols[s]], out=out[s, 0])
         return out
 
-    return _result(mat @ h.values, "edge_aggregate", (alpha, h),
+    return _result(mat @ hv, "edge_aggregate", (alpha, h),
                    alpha_vjp, lambda g: mat.T @ g)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root) -> list:
+    """The vertices reachable from ``root``, each after all of its parents."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        vertex, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(vertex)
             continue
-        if id(node) in seen:
+        if id(vertex) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+        seen.add(id(vertex))
+        stack.append((vertex, True))
+        if isinstance(vertex, _Node):
+            if vertex.parents is None:
+                raise InputError("backward already ran over this graph; build it again")
+            stack.extend((p, False) for p in vertex.parents if id(p) not in seen)
     return order
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf's ``grad``.
 
-    Gradients from multiple uses of a tensor sum; repeated calls keep
-    accumulating (reset ``leaf.grad = None`` between steps).
+    Gradients from multiple uses of a tensor sum, and calls on separately
+    built graphs keep accumulating (reset ``leaf.grad = None`` between
+    steps).  Each node's parents and VJP, with the arrays the VJP kept, are
+    released as soon as it has been called, so a graph can be walked once:
+    a second call over any part of it raises InputError.
     """
     _check_tensor(loss, "backward")
     if loss.shape != (1, 1):
         raise InputError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for node in reversed(_topo_order(loss)):
-        g = grads.pop(id(node))
-        if not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
+    root = loss._vertex
+    order = _topo_order(root)
+    grads: dict[int, np.ndarray] = {id(root): np.ones((1, 1))}
+    while order:
+        vertex = order.pop()
+        g = grads.pop(id(vertex))
+        if isinstance(vertex, Tensor):
+            vertex.grad = g if vertex.grad is None else vertex.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(vertex.parents, vertex.vjp(g)):
             key = id(parent)
             grads[key] = grads[key] + pg if key in grads else pg
+        vertex.parents = vertex.vjp = None

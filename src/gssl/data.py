@@ -180,6 +180,12 @@ def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rows = _numbers(text.replace(b"\n", b","), fields.sum(), np.float64, sep=",")
     if rows is None:  # a trailing comma leaves one value short
         raise InputError("non-numeric feature value")
+    # np.fromstring reads a field of only blanks as -1: with the blanks
+    # squeezed out, such a field leaves two separators side by side
+    s = np.frombuffer(text.translate(None, b" \t"), np.uint8)
+    sep = (s == ord(",")) | (s == ord("\n"))
+    if sep[0] or s[-1] == ord(",") or np.any(sep[1:] & sep[:-1]):
+        raise InputError("blank feature value")
     if np.any(fields != d):
         raise InputError(f"expected {d} values, got {fields[fields != d][0]}")
     rows = rows.reshape(-1, d)

@@ -97,11 +97,22 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if decayed and cfg.weight_decay:
             g = g + cfg.weight_decay * p.values
+        # the operations of w - lr (m / bc1) / (sqrt(v / bc2) + eps) in the
+        # formula's order, with one scratch buffer for its temporaries
+        buf = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += buf
+        np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
+        buf *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.values = p.values - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        step = m / bc1
+        step *= cfg.lr
+        step /= buf
+        p.values = p.values - step
 
 
 @dataclass

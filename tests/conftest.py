@@ -4,9 +4,10 @@ oracle of the ``#sparse`` feature format, the gate for optional
 real-dataset directories, the dense matrix of a small graph and a guard
 that forbids densifying, the finite-difference gradient check, the
 per-entry concat form of GAT attention, the one-shot form of
-edge_aggregate's weight gradient, and independent routes to the
-diffusion solution (dense Cholesky solve, gradient descent on the
-quadratic objective) that the library's solvers are checked against."""
+edge_aggregate's weight gradient, the textbook Adam step, and
+independent routes to the diffusion solution (dense Cholesky solve,
+gradient descent on the quadratic objective) that the library's solvers
+are checked against."""
 
 import os
 from pathlib import Path
@@ -21,6 +22,7 @@ from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset
 from gssl.errors import InputError
 from gssl.graph import Graph, NormalizedAdjacency, add_self_loops, from_edge_list, sym_normalize
+from gssl.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def random_pairs(n, p, rng):
@@ -219,6 +221,21 @@ def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
     """Oracle: edge_aggregate's weight gradient g[v] . h[u] for every stored
     entry (v, u), from two gathered nnz x d matrices at once."""
     return np.einsum("ec,ec->e", g[adj.row_index_per_entry()], h[adj.indices])[:, None]
+
+
+def textbook_adam_step(params, state, lr, weight_decay, decay_mask) -> None:
+    """Oracle: one Adam step written as the formula, one temporary per operation."""
+    state.t += 1
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
+    for p, m, v, decayed in zip(params, state.m, state.v, decay_mask, strict=True):
+        g = p.grad if p.grad is not None else np.zeros(p.shape)
+        if decayed and weight_decay:
+            g = g + weight_decay * p.values
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.values = p.values - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def dense_diffusion(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -32,6 +33,17 @@ def rand_leaf(rng, rows, cols, low=None, high=None, away_from_zero=False):
 
 def test_relu_forward():
     assert ad.relu(Tensor([[-1.0, 2.0]])).values.tolist() == [[0.0, 2.0]]
+
+
+def test_relu_matches_the_where_form_bit_for_bit():
+    x = np.random.default_rng(3).normal(size=(40, 9))
+    x[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    w = leaf(x)
+    out = ad.relu(w)
+    assert out.values.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    g = np.random.default_rng(4).normal(size=x.shape)
+    (grad,) = out._vjp(g)
+    assert np.array_equal(grad, np.where(x > 0, g, 0.0))  # only a zero's sign may differ
 
 
 def test_row_softmax_symmetric():
@@ -169,6 +181,33 @@ def test_constant_operand_is_not_a_parent():
     assert len(out._vjp(np.ones((4, 2)))) == 1
     z = leaf(rng.normal(size=(4, 2)))
     assert ad.elementwise_mul(Tensor(rng.normal(size=(4, 2))), z)._parents == (z,)
+
+
+def test_values_that_no_vjp_reads_are_freed_with_their_tensor():
+    rng = np.random.default_rng(8)
+    x, w, b = Tensor(rng.normal(size=(6, 4))), leaf(rng.normal(size=(4, 3))), leaf(np.ones((1, 3)))
+    mid = ad.matmul(x, w)
+    out = ad.add(mid, b)  # the bias add's VJP reads no values
+    values = weakref.ref(mid.values)
+    del mid
+    assert values() is None
+    ad.backward(ad.sum(out))
+    assert np.allclose(w.grad, x.values.T @ np.ones((6, 3)))
+
+
+def test_backward_runs_once_per_graph():
+    rng = np.random.default_rng(9)
+    w = leaf(rng.normal(size=(3, 2)))
+    h = ad.relu(ad.matmul(Tensor(rng.normal(size=(5, 3))), w))
+    loss = ad.sum(h)
+    ad.backward(loss)
+    first = w.grad.copy()
+    assert loss._parents == () and loss._vjp is None
+    with pytest.raises(InputError, match="already ran over this graph"):
+        ad.backward(loss)
+    with pytest.raises(InputError, match="already ran over this graph"):
+        ad.backward(ad.sum(ad.scale(h, 2.0)))  # a new root over the walked part
+    assert np.array_equal(w.grad, first)
 
 
 def test_op_on_constants_records_no_graph():

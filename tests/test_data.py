@@ -249,6 +249,15 @@ def test_dense_row_with_trailing_comma_names_its_line(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("row", ["1, ,3", "1,2,\t", "\t ,2,3"], ids=["blank", "tab", "first"])
+def test_dense_row_with_a_blank_field_names_its_line(tmp_path, row):
+    # np.fromstring would read the blank field as -1
+    d = write_toy_dir(tmp_path)
+    (d / "features.csv").write_text(f"1,2,3\n0,0,0\n{row}\n1,1,1\n", encoding="ascii")
+    with pytest.raises(InputError, match="features.csv:3: blank feature value"):
+        load_dataset(d)
+
+
 def test_sparse_row_may_list_its_indices_out_of_order(tmp_path):
     d = write_toy_dir(tmp_path, sparse=True)
     (d / "features.csv").write_text(

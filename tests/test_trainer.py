@@ -3,18 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gssl.autodiff as ad
 import gssl.trainer
 from gssl.autodiff import Tensor
-from gssl.data import load_dataset, make_splits, row_normalize_features
+from gssl.data import LabeledDataset, load_dataset, make_splits, row_normalize_features
+from gssl.diffusion import label_matrix
 from gssl.errors import InputError
+from gssl.graph import from_edge_list
 from gssl.losses import LossConfig
 from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
                           adam_step, evaluate, train)
 
-from conftest import two_blob_dataset, write_cora_shaped
+from conftest import textbook_adam_step, two_blob_dataset, write_cora_shaped
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
@@ -57,6 +60,24 @@ def test_adam_weight_decay_only_on_masked_params():
     adam_step([w, b], AdamState([w, b]), cfg, decay_mask=[True, False])
     assert np.all(w.values < 10.0)  # decay pulls weights down
     assert np.array_equal(b.values, np.full((1, 2), 10.0))  # bias untouched
+
+
+def test_adam_matches_the_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    shapes, decay_mask = [(6, 4), (1, 4), (8, 1)], [True, False, True]
+    ours = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    oracle = [Tensor(p.values.copy(), requires_grad=True) for p in ours]
+    cfg = TrainConfig(lr=0.01, weight_decay=5e-4)
+    state, oracle_state = AdamState(ours), AdamState(oracle)
+    for step in range(60):
+        for p, q in zip(ours, oracle):
+            g = None if step % 7 == 3 else rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+            p.grad = q.grad = g
+        adam_step(ours, state, cfg, decay_mask)
+        textbook_adam_step(oracle, oracle_state, cfg.lr, cfg.weight_decay, decay_mask)
+    for p, q, m, mq, v, vq in zip(ours, oracle, state.m, oracle_state.m, state.v, oracle_state.v):
+        assert p.values.tobytes() == q.values.tobytes()
+        assert m.tobytes() == mq.tobytes() and v.tobytes() == vq.tobytes()
 
 
 def test_training_is_bit_deterministic():
@@ -132,6 +153,55 @@ def test_no_autodiff_graph_outlives_its_epoch(monkeypatch, kind):
     train(model, DataContext.from_dataset(ds), small_split(ds), cfg)
     assert len(counts) == 5
     assert max(counts) == counts[0], counts
+
+
+def test_training_leaves_no_reference_cycle():
+    # a cycle (say a parameter and a graph node that point at each other)
+    # would keep each step's arrays alive until the cyclic collector runs
+    ds = two_blob_dataset(n_per=16, seed=13)
+    ctx, split = DataContext.from_dataset(ds), small_split(ds)
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in ("mlp", "gcn", "gat", "appnp"):
+            model = Model.init(ModelConfig(kind=kind, n_layers=2, hidden_dim=8),
+                               ds.n_features, ds.n_classes, seed=14)
+            train(model, ctx, split, TrainConfig(max_epochs=3, patience=3, loss=LossConfig(mu=0.5)))
+            del model
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_gat_step_keeps_only_what_its_vjps_read():
+    rng = np.random.default_rng(15)
+    n, h = 8000, 64
+    edges = rng.integers(0, n, size=(n, 2))
+    features = sp.random(n, 200, density=0.02, random_state=rng, format="csr")
+    ds = LabeledDataset(from_edge_list(edges[edges[:, 0] != edges[:, 1]], n), features,
+                        np.arange(n) % 3)
+    ctx = DataContext.from_dataset(ds)
+    model = Model.init(ModelConfig(kind="gat", n_layers=2, hidden_dim=h),
+                       ds.n_features, ds.n_classes, seed=16)
+    cfg, state = TrainConfig(loss=LossConfig(mu=0.0)), AdamState(model.parameters())
+    y_train = label_matrix(ctx.labels, make_splits(ds, 20, 1, 0)[0].train, ctx.n_classes)
+    gssl.trainer._train_step(model, ctx, y_train, cfg, state, rng)  # caches the entry rows
+    tracemalloc.start()
+    try:
+        gssl.trainer._train_step(model, ctx, y_train, cfg, state, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The VJPs keep two n x h activations (W h + b, read by the attention
+    # and the aggregate, and the ReLU output, read by the second layer's
+    # matmul) and the ReLU mask; the backward pass adds up to three n x h
+    # gradients at once and the aggregate's two blocked gathers; per stored
+    # entry of A_hat and of the dropped-out features, a few words.  An engine
+    # that keeps every intermediate alive until the step ends peaks above 8 n x h.
+    bound = (5 * n * h * 8 + 2 * ad._ENTRY_BLOCK * h * 8
+             + 64 * ctx.a_hat.nnz + 32 * ctx.x.nnz)
+    assert peak < bound, f"one GAT step peaked at {peak} bytes, bound {bound}"
 
 
 @pytest.fixture(scope="module")
