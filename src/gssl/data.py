@@ -181,10 +181,11 @@ def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if rows is None:  # a trailing comma leaves one value short
         raise InputError("non-numeric feature value")
     # np.fromstring reads a field of only blanks as -1: with the blanks
-    # squeezed out, such a field leaves two separators side by side
+    # squeezed out, such a field leaves two separators side by side.  The
+    # block after a file's last line end is empty.
     s = np.frombuffer(text.translate(None, b" \t"), np.uint8)
     sep = (s == ord(",")) | (s == ord("\n"))
-    if sep[0] or s[-1] == ord(",") or np.any(sep[1:] & sep[:-1]):
+    if s.size and (sep[0] or s[-1] == ord(",") or np.any(sep[1:] & sep[:-1])):
         raise InputError("blank feature value")
     if np.any(fields != d):
         raise InputError(f"expected {d} values, got {fields[fields != d][0]}")

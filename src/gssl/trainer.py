@@ -98,7 +98,8 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
         if decayed and cfg.weight_decay:
             g = g + cfg.weight_decay * p.values
         # the operations of w - lr (m / bc1) / (sqrt(v / bc2) + eps) in the
-        # formula's order, with one scratch buffer for its temporaries
+        # formula's order, into two scratch arrays (buf, step) in place of
+        # one temporary per operation
         buf = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
         m += buf

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gssl.graph
 from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
                        make_splits, row_normalize_features, save_splits)
 from gssl.errors import InputError
@@ -256,6 +257,19 @@ def test_dense_row_with_a_blank_field_names_its_line(tmp_path, row):
     (d / "features.csv").write_text(f"1,2,3\n0,0,0\n{row}\n1,1,1\n", encoding="ascii")
     with pytest.raises(InputError, match="features.csv:3: blank feature value"):
         load_dataset(d)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_a_file_of_whole_blocks_loads_as_in_one_block(tmp_path, monkeypatch, sparse):
+    # each toy file has four lines, so a file of k * _BLOCK_LINES lines
+    # ending in a line end leaves an empty last block
+    whole = load_dataset(write_toy_dir(tmp_path / "one", sparse=sparse))
+    monkeypatch.setattr(gssl.graph, "_BLOCK_LINES", 2)
+    d = write_toy_dir(tmp_path / "two", sparse=sparse)
+    blocked = load_dataset(d)
+    assert same_csr(blocked.features, whole.features)
+    assert np.array_equal(blocked.labels, whole.labels)
+    assert np.array_equal(blocked.graph.indices, whole.graph.indices)
 
 
 def test_sparse_row_may_list_its_indices_out_of_order(tmp_path):
