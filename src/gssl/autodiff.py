@@ -253,8 +253,10 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     keep = gen.random(a.shape) >= rate
     factor = 1.0 / (1.0 - rate)
+    # The VJP keeps the 1-byte mask, not the 8-byte multiplier: (g * keep) *
+    # factor has the bits of g * (keep * factor), signed zeros included.
     mult = keep * factor
-    return _result(a.values * mult, "dropout", (a,), lambda g: g * mult)
+    return _result(a.values * mult, "dropout", (a,), lambda g: (g * keep) * factor)
 
 
 def spmm(mat, b: Tensor) -> Tensor:

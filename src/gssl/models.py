@@ -11,9 +11,14 @@ over its stored entries, which are the self-looped edge structure.
 
 The input X is a dense Tensor or a scipy sparse matrix (the CSR features
 of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
-through ``spmm`` as a constant, and its dropout acts on its stored values
-only, so no dense n x d array is built.  A dropped-out zero stays zero, so
-skipping the zeros changes only which random numbers are drawn.
+through ``spmm`` as a constant, so no dense n x d array is built.  Its
+dropout draws one number per stored value and removes the dropped entries
+from the CSR, as ``tf.sparse_retain`` does in Kipf & Welling's reference
+GCN, so the training products ``X W`` and ``X^T G`` skip them.  A skipped
+term is ``0 * w`` with ``w`` finite: adding +-0 to a partial sum changes no
+nonzero sum and never makes a +0 sum -0, and scipy's CSR row loop and
+CSC column scatter keep the order of the remaining terms, so both products
+have the same bits as with the dropped entries stored as zeros.
 """
 
 from __future__ import annotations
@@ -120,14 +125,19 @@ def _linear(h, weight: Tensor) -> Tensor:
 
 
 def _dropout(h, rate: float, rng):
-    """Dropout of a layer input; a sparse input keeps its pattern and drops
-    out its stored values (an nnz x 1 column), like ``sparse_dropout`` in
-    Kipf & Welling's reference GCN."""
+    """Dropout of a layer input.  A sparse input draws once per stored value
+    (``ad.dropout`` on an nnz x 1 column) and keeps only the entries that
+    survive, as ``sparse_dropout`` (``tf.sparse_retain``) does in Kipf &
+    Welling's reference GCN; at rate 0 it is returned as it is."""
     if not sp.issparse(h):
         return ad.dropout(h, rate, rng)
+    if rate == 0.0:
+        return h
     h = h.tocsr()
-    kept = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
-    return sp.csr_matrix((kept, h.indices, h.indptr), shape=h.shape)
+    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
+    kept = np.flatnonzero(dropped != 0.0)
+    indptr = np.searchsorted(kept, h.indptr).astype(h.indptr.dtype, copy=False)
+    return sp.csr_matrix((dropped.take(kept), h.indices.take(kept), indptr), shape=h.shape)
 
 
 def _dense(h, p, a_hat, cfg):

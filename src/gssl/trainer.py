@@ -8,7 +8,7 @@ and returns only floats, so the graph is freed when the phase returns.
 Between epochs :func:`train` keeps the parameters, the Adam moments, the
 history and the best epoch so far.  The features stay in the dataset's CSR
 form (:class:`gssl.data.FeatureMatrix`): the first layer multiplies them
-through ``spmm`` and drops out their stored values only.
+through ``spmm``, and its dropout removes the dropped entries from the CSR.
 """
 
 from __future__ import annotations

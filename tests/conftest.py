@@ -223,6 +223,14 @@ def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
     return np.einsum("ec,ec->e", g[adj.row_index_per_entry()], h[adj.indices])[:, None]
 
 
+def explicit_zero_dropout(h, rate: float, rng):
+    """Oracle: sparse input dropout that keeps X's pattern and stores each
+    dropped value as an explicit zero, drawing as ``models._dropout`` does."""
+    h = h.tocsr()
+    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
+    return scipy.sparse.csr_matrix((dropped, h.indices, h.indptr), shape=h.shape)
+
+
 def textbook_adam_step(params, state, lr, weight_decay, decay_mask) -> None:
     """Oracle: one Adam step written as the formula, one temporary per operation."""
     state.t += 1

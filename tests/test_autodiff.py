@@ -86,6 +86,36 @@ def test_dropout_seed_determinism_and_scaling():
     assert np.allclose(surviving, 1.0 / 0.6)
 
 
+def test_dropout_vjp_has_the_bits_of_the_multiplier_form():
+    rng = np.random.default_rng(5)
+    x = leaf(rng.normal(size=(40, 30)))
+    g = rng.normal(size=(40, 30))
+    g[::3] = 0.0
+    g[1::3] *= -0.0  # signed zeros where the mask keeps and where it drops
+    out = ad.dropout(x, 0.3, rng=11)
+    keep = np.random.default_rng(11).random((40, 30)) >= 0.3
+    assert 0 < keep.sum() < keep.size
+    (grad,) = out._vjp(g)
+    assert grad.tobytes() == (g * (keep * (1.0 / (1.0 - 0.3)))).tobytes()
+
+
+def test_dropout_node_keeps_a_one_byte_mask():
+    n, d = 2000, 64
+    x = leaf(np.ones((n, d)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.dropout(x, 0.5, rng=0)
+        node = out._node
+        del out  # the node keeps only what its VJP reads
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert node.vjp is not None
+    # the boolean mask, n * d bytes; an 8-byte multiplier would be 8 n d
+    assert retained <= n * d + 4096, f"dropout node retains {retained} bytes"
+
+
 def test_dropout_needs_rng_when_training():
     with pytest.raises(InputError):
         ad.dropout(leaf(np.ones((2, 2))), 0.5)

@@ -5,14 +5,15 @@ import pytest
 import scipy.sparse as sp
 
 import gssl.autodiff as ad
+from gssl import models
 from gssl.autodiff import Tensor
 from gssl.errors import InputError, NumericError
 from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.models import (LayerParams, Model, ModelConfig, gat_attention, glorot_init,
                          hidden_embedding, init_params, load_checkpoint, save_checkpoint)
 
-from conftest import (concat_gat_attention, dense, finite_difference_check, normalized,
-                      random_connected_graph, random_graph)
+from conftest import (concat_gat_attention, dense, explicit_zero_dropout,
+                      finite_difference_check, normalized, random_connected_graph, random_graph)
 
 FD_TOL = 1e-4
 
@@ -295,10 +296,9 @@ def test_sparse_and_dense_inputs_give_the_same_logits(kind):
     assert np.allclose(out, model.forward(Tensor(x.toarray()), a_hat).values, atol=1e-12)
 
 
-def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
-    x = sparse_features()
-    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.4), 8, 3,
-                       seed=13)
+def spy_products(monkeypatch):
+    """Record the left operand of every ``spmm`` and the shape of every
+    ``dropout`` input while a test runs."""
     left, dropout_shapes = [], []
     spmm, dropout = ad.spmm, ad.dropout
 
@@ -312,6 +312,14 @@ def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
 
     monkeypatch.setattr(ad, "spmm", spy_spmm)
     monkeypatch.setattr(ad, "dropout", spy_dropout)
+    return left, dropout_shapes
+
+
+def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
+    x = sparse_features()
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.4), 8, 3,
+                       seed=13)
+    left, dropout_shapes = spy_products(monkeypatch)
 
     def dropped(seed):
         left.clear()
@@ -320,16 +328,50 @@ def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
 
     first, again, other = dropped(0), dropped(0), dropped(1)
     assert dropout_shapes[0] == (x.nnz, 1)  # one draw per stored value
-    for m in (first, again, other):
-        assert np.array_equal(m.indptr, x.indptr) and np.array_equal(m.indices, x.indices)
-        kept = m.data != 0
-        assert 0 < kept.sum() < x.nnz
-        assert np.allclose(m.data[kept], x.data[kept] / (1 - 0.4), rtol=1e-15, atol=0)
-    assert np.array_equal(first.data, again.data)  # a fixed seed gives a fixed mask
-    assert not np.array_equal(first.data, other.data)
+    for seed, m in ((0, first), (0, again), (1, other)):
+        oracle = explicit_zero_dropout(x, 0.4, seed).copy()  # the copy owns x's pattern
+        survivors = np.count_nonzero(oracle.data)
+        assert 0 < survivors < x.nnz and m.nnz == survivors  # the dropped entries are gone
+        oracle.eliminate_zeros()
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(m, field), getattr(oracle, field))
+        assert m.indices.dtype == x.indices.dtype and m.indptr.dtype == x.indptr.dtype
+        assert np.allclose(m.data, x[m.nonzero()].A1 / (1 - 0.4), rtol=1e-15, atol=0)
+    assert np.array_equal(first.indices, again.indices)  # a fixed seed gives a fixed mask
+    assert np.array_equal(first.data, again.data)
+    assert not np.array_equal(first.indptr, other.indptr)
     left.clear()
     model.forward(x)
     assert len(left) == 1 and left[0] is x  # no dropout with training off
+
+
+def test_sparse_input_dropout_at_rate_zero_is_the_input(monkeypatch):
+    x = sparse_features()
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.0), 8, 3,
+                       seed=13)
+    left, dropout_shapes = spy_products(monkeypatch)
+    model.forward(x, training=True, rng=0)
+    assert left[0] is x and dropout_shapes == []  # no draw and no copy
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_products_with_dropped_entries_removed_are_byte_identical(seed):
+    """X W and X^T G give the bits of the explicit-zero form's products:
+    each skipped term is 0 * w with w finite, and scipy keeps the order of
+    the others."""
+    rng = np.random.default_rng(seed)
+    x = sp.random(300, 40, density=0.2, random_state=rng, format="csr")
+    x.data = rng.normal(size=x.nnz)
+    x.data[::11] = 0.0  # stored zeros of X survive or drop like any value
+    w = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.7)
+    w[0, :3] = -0.0
+    g = rng.normal(size=(300, 7)) * (rng.random((300, 7)) < 0.7)
+    g[:5] *= -0.0
+    m = models._dropout(x, 0.5, seed)
+    oracle = explicit_zero_dropout(x, 0.5, seed)
+    assert m.nnz < oracle.nnz
+    assert (m @ w).tobytes() == (oracle @ w).tobytes()
+    assert (m.T @ g).tobytes() == (oracle.T @ g).tobytes()
 
 
 # -------------------------------------------------------- hidden embedding

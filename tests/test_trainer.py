@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import gssl.autodiff as ad
+import gssl.models
 import gssl.trainer
 from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset, load_dataset, make_splits, row_normalize_features
@@ -17,7 +18,8 @@ from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
                           adam_step, evaluate, train)
 
-from conftest import textbook_adam_step, two_blob_dataset, write_cora_shaped
+from conftest import (explicit_zero_dropout, textbook_adam_step, two_blob_dataset,
+                      write_cora_shaped)
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
@@ -172,6 +174,36 @@ def test_training_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_step_with_dropped_entries_removed_matches_explicit_zeros(monkeypatch, kind):
+    """One training step gives the parameter bits of the sparse input
+    dropout that stores the dropped values as zeros."""
+    rng = np.random.default_rng(3)
+    n = 200
+    edges = rng.integers(0, n, size=(3 * n, 2))
+    features = sp.random(n, 60, density=0.1, random_state=rng, format="csr")
+    ds = LabeledDataset(from_edge_list(edges[edges[:, 0] != edges[:, 1]], n), features,
+                        np.arange(n) % 3)
+    ctx = DataContext.from_dataset(ds)
+    y_train = label_matrix(ctx.labels, small_split(ds, ell=10).train, ctx.n_classes)
+    cfg = TrainConfig(loss=LossConfig(mu=0.5))
+
+    def step():
+        model = Model.init(ModelConfig(kind=kind, n_layers=2, hidden_dim=16, appnp_k=3),
+                           ds.n_features, ds.n_classes, seed=4)
+        loss = gssl.trainer._train_step(model, ctx, y_train, cfg, AdamState(model.parameters()),
+                                         np.random.default_rng(5))
+        return loss, [t.values for t in model.parameters()]
+
+    loss, params = step()
+    dropout = gssl.models._dropout
+    monkeypatch.setattr(gssl.models, "_dropout", lambda h, rate, rng: (
+        explicit_zero_dropout(h, rate, rng) if sp.issparse(h) else dropout(h, rate, rng)))
+    oracle_loss, oracle_params = step()
+    assert loss == oracle_loss
+    assert [p.tobytes() for p in params] == [p.tobytes() for p in oracle_params]
 
 
 def test_gat_step_keeps_only_what_its_vjps_read():
