@@ -27,6 +27,8 @@ seeds reproduce across implementations); all three sets are disjoint.
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -35,8 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-from .graph import (Graph, _line_counts, _numbers, _parse_lines, _words, from_edge_list,
-                    read_edge_list)
+from .graph import Graph, from_edge_list
 
 __all__ = [
     "FeatureMatrix",
@@ -46,6 +47,7 @@ __all__ = [
     "TEST_SIZE",
     "load_dataset",
     "make_splits",
+    "read_edge_list",
     "row_normalize_features",
     "save_splits",
     "load_splits",
@@ -139,6 +141,91 @@ class Split:
         )
 
 
+_BLOCK_LINES = 1024  # lines per array parse: bounds the parser's transient arrays
+_TEXT_BYTES = bytes(range(32, 127)) + b"\t\n"
+
+
+def _read_text(path) -> bytes:
+    """``path``'s bytes, CRLF and CR made LF; InputError names a non-text byte's line."""
+    text = Path(path).read_bytes()
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if text.translate(None, _TEXT_BYTES):
+        at = re.search(rb"[^\t\n -~]", text).start()
+        lineno = text.count(b"\n", 0, at) + 1
+        raise InputError(f"{path}:{lineno}: byte 0x{text[at]:02x} is not printable ASCII")
+    return text
+
+
+def _parse_lines(path, text: bytes, parse, first: int = 1) -> Iterator[tuple[np.ndarray, ...]]:
+    """For each ``_BLOCK_LINES`` lines of ``path``'s ``text`` from line ``first``
+    on, the tuple of arrays ``parse`` makes of them; ``text`` is let go after
+    the last block.  If ``parse`` rejects a block, its lines are parsed one by
+    one so that the InputError names the bad line."""
+    line_starts = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+    cuts = (line_starts[first - 1::_BLOCK_LINES].tolist() or [len(text)]) + [len(text)]
+    for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        try:
+            arrays = parse(text[start:stop])
+        except InputError as whole:
+            lines = text[start:stop].splitlines(keepends=True)
+            for lineno, line in enumerate(lines, start=first + k * _BLOCK_LINES):
+                try:
+                    parse(line)
+                except InputError as err:
+                    raise InputError(f"{path}:{lineno}: {err}") from None
+            raise InputError(f"{path}: {whole}") from None
+        yield arrays
+
+
+def _words(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``text`` as uint8, the start and end offsets of its space- or
+    tab-separated words, and the number of words on each line."""
+    b = np.frombuffer(text, np.uint8)
+    in_word = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
+    bounds = np.flatnonzero(np.diff(in_word, prepend=False, append=False))
+    return b, bounds[0::2], bounds[1::2], _line_counts(b, bounds[0::2])
+
+
+def _line_counts(b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """How many of the sorted offsets ``at`` fall on each line of ``b``."""
+    line_ends = np.flatnonzero(np.append(b == ord("\n"), b[-1:] != ord("\n")))
+    return np.diff(np.searchsorted(at, line_ends), prepend=0)
+
+
+def _numbers(text: bytes, n_words: int, dtype=np.int64, sep=" ") -> np.ndarray | None:
+    """The ``n_words`` numbers of ``text`` as ``dtype``; None if any is not one."""
+    if not n_words:  # np.fromstring reads bare whitespace as one number
+        return np.empty(0, dtype)
+    try:
+        out = np.fromstring(text, dtype=dtype, sep=sep)
+    except ValueError:
+        return None
+    return out if out.size == n_words else None
+
+
+def _edge_lines(text: bytes) -> tuple[np.ndarray]:
+    """The node ids of whole lines of an edge list, in order."""
+    if b"#" in text:
+        text = re.sub(rb"(?m)^[ \t]*#.*", b"", text)
+    _, starts, _, counts = _words(text)
+    ids = _numbers(text, starts.size)
+    if np.all((counts == 0) | (counts == 2)) and ids is not None and not np.any(ids < 0):
+        return ids,
+    line = text.strip().decode()
+    if np.any((counts != 0) & (counts != 2)):
+        raise InputError(f"expected 'u v', got {line!r}")
+    raise InputError(f"{'non-integer' if ids is None else 'negative'} node id in {line!r}")
+
+
+def read_edge_list(path) -> np.ndarray:
+    """The (m, 2) int64 array of an edge-list file: one "u v" pair of 0-based
+    ids per line, split by blanks or tabs; lines starting with '#' and blank
+    lines are skipped.  A malformed line raises InputError with its number."""
+    ids, = map(np.concatenate, zip(*_parse_lines(path, _read_text(path), _edge_lines)))
+    return ids.reshape(-1, 2)
+
+
 def _sparse_dimension(path: Path, header: str) -> int:
     parts = header.split("d=")
     if len(parts) != 2:
@@ -196,16 +283,18 @@ def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _parse_features(path: Path) -> FeatureMatrix:
     """The feature file as CSR, parsed in blocks of lines with no dense n x d copy."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline()  # the whole file is checked to be ASCII below
-    if not header:
+    text = _read_text(path)
+    if not text:
         raise InputError(f"{path}: empty feature file")
+    header = (text[:text.find(b"\n")] if b"\n" in text else text).decode()
     if header.startswith("#sparse"):
-        d, first, parse = _sparse_dimension(path, header.rstrip("\n")), 2, _sparse_rows
+        d, first, parse = _sparse_dimension(path, header), 2, _sparse_rows
     else:
         d, first = header.count(",") + 1, 1
         parse = partial(_dense_rows, d=d)
-    counts, indices, data = _parse_lines(path, parse, first)
+    blocks = _parse_lines(path, text, parse, first)
+    del text  # the blocks are joined without the file's bytes
+    counts, indices, data = map(np.concatenate, zip(*blocks))
     if not counts.size:
         raise InputError(f"{path}: no feature rows")
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
@@ -249,7 +338,8 @@ def load_dataset(directory) -> LabeledDataset:
     for fname in ("graph.edges", "features.csv", "labels.txt"):
         if not (directory / fname).is_file():
             raise InputError(f"{directory}: missing {fname}")
-    labels, = _parse_lines(directory / "labels.txt", _label_lines)
+    labels, = map(np.concatenate, zip(*_parse_lines(
+        directory / "labels.txt", _read_text(directory / "labels.txt"), _label_lines)))
     features = _parse_features(directory / "features.csv")
     n = labels.shape[0]
     if features.shape[0] != n:
@@ -286,6 +376,9 @@ def make_splits(ds: LabeledDataset, ell: int, n_splits: int, base_seed: int,
         raise InputError("ell and n_splits must be >= 1")
     if base_seed < 0:
         raise InputError(f"base_seed must be >= 0, got {base_seed}")
+    for name, size in (("val_size", val_size), ("test_size", test_size)):
+        if size < 0:
+            raise InputError(f"{name} must be >= 0, got {size}")
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     if counts.min() < ell:
         cls = int(counts.argmin())

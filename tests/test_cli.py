@@ -119,6 +119,18 @@ def test_negative_seed_is_input_error_exit_2(tmp_path, capsys):
     assert err.count("error: --seed must be >= 0, got -1") == 3
 
 
+@pytest.mark.parametrize("command", ["make-splits", "propagate"])
+@pytest.mark.parametrize("flag", ["--val-size", "--test-size"])
+def test_negative_split_size_is_input_error_exit_2(tmp_path, capsys, command, flag):
+    # size 0 stays legal: propagate then scores the unlabeled nodes
+    d, _ = write_blobs(tmp_path, n_per=20)
+    argv = [command, "--dataset", str(d), "--ell", "3", "--val-size", "8", "--test-size", "8",
+            flag, "-5"] + (["--out", str(tmp_path / "s.json")] if command == "make-splits" else [])
+    assert main(argv) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got -5\n"
+
+
 def test_propagate_barbell_is_perfect(tmp_path, capsys):
     d = write_barbell(tmp_path)
     acc = cmd_propagate(d, ell=1, gamma=0.2, seed=0, val_size=0, test_size=0)

@@ -1,14 +1,17 @@
+import builtins
+import io
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import gssl.graph
+import gssl.data
 from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
-                       make_splits, row_normalize_features, save_splits)
+                       make_splits, read_edge_list, row_normalize_features, save_splits)
 from gssl.errors import InputError
-from gssl.graph import degrees, read_edge_list
+from gssl.graph import degrees
 
 from conftest import reference_parse, require_dataset, save_dataset, two_blob_dataset
 
@@ -213,6 +216,38 @@ def test_a_byte_that_is_not_ascii_text_names_its_line(tmp_path, name, line, byte
         load_dataset(d)
 
 
+@pytest.mark.parametrize("body, named", [
+    (b"#sparse d=\xff3\n0:1\n", "features.csv:1: byte 0xff"),
+    (b"#sparse d=3\x00\n0:1\n", "features.csv:1: byte 0x00"),
+    (b"#sparse d=x\n0:1\n\xff\n", "features.csv:3: byte 0xff"),
+    (b"#sparse e=3\n0:1\n\xff\n", "features.csv:3: byte 0xff"),
+    (b"#sparse d=0\n0:1\n\x7f\n", "features.csv:3: byte 0x7f"),
+], ids=["in-dimension", "after-dimension", "bad-dimension", "no-dimension", "zero-dimension"])
+def test_the_byte_check_precedes_the_sparse_header(tmp_path, body, named):
+    # the whole file is checked as text before its header is read, so a
+    # byte that is not text is named even where the header is also bad
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_bytes(body + b"\n0:1\n")
+    with pytest.raises(InputError, match=f"{named} is not printable ASCII"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch, sparse):
+    d = write_toy_dir(tmp_path, sparse=sparse)
+    opened = []
+    real_open = io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)  # what pathlib calls
+    monkeypatch.setattr(builtins, "open", spy)
+    load_dataset(d)
+    assert sorted(opened) == ["features.csv", "graph.edges", "labels.txt"]
+
+
 def test_a_bad_line_past_the_first_block_is_named(tmp_path):
     d = write_toy_dir(tmp_path, sparse=True)
     (d / "labels.txt").write_text("0\n" * 2499 + "x\n" + "1\n" * 500, encoding="ascii")
@@ -264,7 +299,7 @@ def test_a_file_of_whole_blocks_loads_as_in_one_block(tmp_path, monkeypatch, spa
     # each toy file has four lines, so a file of k * _BLOCK_LINES lines
     # ending in a line end leaves an empty last block
     whole = load_dataset(write_toy_dir(tmp_path / "one", sparse=sparse))
-    monkeypatch.setattr(gssl.graph, "_BLOCK_LINES", 2)
+    monkeypatch.setattr(gssl.data, "_BLOCK_LINES", 2)
     d = write_toy_dir(tmp_path / "two", sparse=sparse)
     blocked = load_dataset(d)
     assert same_csr(blocked.features, whole.features)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gssl.data import read_edge_list
 from gssl.errors import InputError
-from gssl.graph import (add_self_loops, degrees, from_edge_list, read_edge_list,
-                        sym_normalize)
+from gssl.graph import add_self_loops, degrees, from_edge_list, sym_normalize
 
 from conftest import dense, normalized, random_graph, random_pairs
 
