@@ -18,8 +18,12 @@ leaf, and releases each node's parents and VJP once it has called it: a
 graph is differentiated once.  There is no global state: independent
 graphs can be built and differentiated concurrently.
 
-All ops validate shapes (only row-vector bias addition may broadcast) and
-raise :class:`NumericError` as soon as a forward pass produces NaN/Inf.
+All ops validate shapes (only row-vector bias addition may broadcast).
+Only a leaf's values are checked for NaN/Inf; an op's output is not
+scanned.  A caller that needs finite results runs its ops under
+``np.errstate(all="ignore")``, so that numpy does not report an overflow
+first, and checks the values it reads with :func:`check_finite` (the
+trainer checks each step's loss and gradients and each validation loss).
 """
 
 from __future__ import annotations
@@ -44,18 +48,21 @@ __all__ = [
     "sum",
     "dropout",
     "spmm",
+    "propagate",
     "gather_rows",
     "edge_softmax",
     "edge_aggregate",
     "backward",
+    "check_finite",
     "LOG_EPS",
 ]
 
 LOG_EPS = 1e-12
 
 # Stored entries per block in edge_aggregate's weight gradient: its two
-# gathered operands are _ENTRY_BLOCK x d, whatever the graph's nnz.
-_ENTRY_BLOCK = 4096
+# gathered operands are _ENTRY_BLOCK x d, whatever the graph's nnz, and at
+# d = 64 both fit in a 1 MB L2 cache.
+_ENTRY_BLOCK = 512
 
 
 class _Node:
@@ -122,14 +129,18 @@ def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], *vjps) -> 
     arrays they read, not the input tensors."""
     out = Tensor.__new__(Tensor)
     out.values = values
-    if not np.isfinite(values).all():
-        raise NumericError(f"op {op!r} produced non-finite values")
     out.grad = None
     out.op = op
     kept = [(p._vertex, f) for p, f in zip(parents, vjps) if p.requires_grad]
     out.requires_grad = bool(kept)
     out._node = _Node(*zip(*kept)) if kept else None
     return out
+
+
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise NumericError naming ``what`` unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"non-finite {what}")
 
 
 def _check_tensor(t, op: str) -> Tensor:
@@ -269,6 +280,46 @@ def spmm(mat, b: Tensor) -> Tensor:
     return _result(mat @ b.values, "spmm", (b,), lambda g: mat.T @ g)
 
 
+def propagate(mat, h: Tensor, alpha: float, k: int) -> Tensor:
+    """K steps of Z <- (1 - alpha) mat Z + alpha H from Z = H, as one op.
+
+    ``mat`` is a constant scipy sparse n x n matrix (APPNP's normalized
+    adjacency).  Each step is ``(mat @ z) * (1 - alpha) + h * alpha``, and the
+    VJP takes the steps' gradients in reverse, g_{k-1} = mat.T @ (g_k * (1 -
+    alpha)), then sums H's gradient as ((g_0 + alpha g_1) + alpha g_2) + ...
+    + alpha g_K: the arithmetic, in its order, of the chain of spmm, scale and
+    add ops that the steps unroll to, so both passes have that chain's bits.
+    With ``k = 0`` the input tensor is returned unchanged.
+    """
+    _check_tensor(h, "propagate")
+    if not sp.issparse(mat):
+        raise InputError(f"propagate expects a scipy sparse matrix, got {type(mat).__name__}")
+    if mat.shape != (h.shape[0], h.shape[0]):
+        raise InputError(f"propagate shape mismatch: {mat.shape} @ {h.shape}")
+    if k < 0:
+        raise InputError(f"propagate needs k >= 0 steps, got {k}")
+    if k == 0:
+        return h
+    keep, alpha = 1.0 - alpha, float(alpha)
+    h_alpha = h.values * alpha
+    z = h.values
+    for _ in range(k):
+        z = mat @ z
+        z *= keep
+        z += h_alpha
+
+    def vjp(g):
+        terms = []
+        for _ in range(k):
+            terms.append(g * alpha)
+            g = mat.T @ (g * keep)
+        for t in reversed(terms):
+            g += t
+        return g
+
+    return _result(z, "propagate", (h,), vjp)
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows by index; duplicate indices sum in the backward pass."""
     _check_tensor(a, "gather_rows")
@@ -278,11 +329,14 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise InputError("gather_rows index out of range")
 
-    shape = a.shape
+    n, d = a.shape
 
     def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
+        # bincount adds each column's weights in index order onto +0.0, as
+        # np.add.at does, so the sums have its bits, -0.0 terms included
+        out = np.empty((n, d))
+        for j in range(d):
+            out[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
         return out
 
     return _result(a.values[idx], "gather_rows", (a,), vjp)

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .errors import InputError, NumericError
 from .graph import NormalizedAdjacency
@@ -94,6 +93,8 @@ def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     NumericError
         If conjugate gradients stop short of that residual.
     """
+    from scipy.sparse.linalg import cg  # 10 MB and ~90 ms to import; only this solve needs it
+
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     y = _check_inputs(a_hat, y)

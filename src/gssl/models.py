@@ -3,8 +3,11 @@
 Every kind runs the same forward pass, :meth:`Model.forward`: per layer,
 dropout on the input of every hidden layer when training, then the
 kind's layer from one table (dense, GCN or GAT aggregation), then ReLU
-after every layer but the last; APPNP then propagates K steps.  The
-final layer emits raw logits; the trainer applies the row softmax.
+after every layer but the last; APPNP then propagates K steps, as the
+one op :func:`gssl.autodiff.propagate`.  The final layer emits raw
+logits; the trainer applies the row softmax.  The forward pass does not
+check its values for NaN/Inf: the trainer checks each step, and
+:func:`hidden_embedding` checks the activations it returns.
 Every graph model takes the normalized adjacency A_hat: GCN and APPNP
 aggregate through its values, GAT computes its own attention weights
 over its stored entries, which are the self-looped edge structure.
@@ -209,15 +212,16 @@ class Model:
             if l < last:
                 h = hidden = ad.relu(h)
         if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
-            z = h
-            for _ in range(cfg.appnp_k):
-                z = ad.add(ad.scale(ad.spmm(a_hat.scipy, z), 1.0 - cfg.appnp_alpha),
-                           ad.scale(h, cfg.appnp_alpha))
-            h = z
+            h = ad.propagate(a_hat.scipy, h, cfg.appnp_alpha, cfg.appnp_k)
         return (h, hidden) if return_hidden else h
 
     def parameters(self) -> list[Tensor]:
         return [t for p in self.params for _, t in p.named()]
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """``<name>_<layer>`` and the tensor of every parameter, in parameter
+        order: the checkpoint's entry names, and those of training errors."""
+        return [(f"{name}_{i}", t) for i, p in enumerate(self.params) for name, t in p.named()]
 
     def decay_mask(self) -> list[bool]:
         """True for tensors subject to L2 weight decay (weights and
@@ -233,10 +237,13 @@ class Model:
 
 
 def hidden_embedding(model: Model, x, a_hat: NormalizedAdjacency | None = None) -> Tensor:
-    """Penultimate-layer activations (n x hidden_dim), dropout disabled."""
+    """Penultimate-layer activations (n x hidden_dim), dropout disabled.
+    Raises NumericError if any of them is not finite."""
     if model.cfg.n_layers < 2:
         raise InputError("hidden_embedding needs a model with >= 2 layers")
-    _, hidden = model.forward(x, a_hat, training=False, return_hidden=True)
+    with np.errstate(all="ignore"):
+        _, hidden = model.forward(x, a_hat, training=False, return_hidden=True)
+    ad.check_finite(hidden.values, "hidden embedding")
     return hidden
 
 
@@ -249,7 +256,7 @@ def save_checkpoint(model: Model, path, preprocessing: dict | None = None) -> No
     entries = {"config": _json_bytes(asdict(model.cfg))}
     if preprocessing is not None:
         entries["preprocessing"] = _json_bytes(preprocessing)
-    entries.update((name, t.values) for name, t in _checkpoint_entries(model))
+    entries.update((name, t.values) for name, t in model.named_parameters())
     with zipfile.ZipFile(path, "w") as zf:
         for name, values in entries.items():
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -261,11 +268,6 @@ def _json_bytes(obj) -> np.ndarray:
     return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
 
 
-def _checkpoint_entries(model: Model) -> list[tuple[str, Tensor]]:
-    """``<name>_<layer>`` and the tensor of every parameter, in parameter order."""
-    return [(f"{name}_{i}", t) for i, p in enumerate(model.params) for name, t in p.named()]
-
-
 def load_checkpoint(path) -> Model:
     """The model :func:`save_checkpoint` wrote.  A file that is not such an
     archive raises InputError; non-finite parameters raise NumericError."""
@@ -275,7 +277,7 @@ def load_checkpoint(path) -> Model:
             d_in, n_classes = data["weight_0"].shape[0], data[f"weight_{cfg.n_layers - 1}"].shape[1]
             model = Model.init(cfg, d_in, n_classes, seed=0)
             model.load_state_values(
-                [Tensor(data[name]).values for name, _ in _checkpoint_entries(model)])
+                [Tensor(data[name]).values for name, _ in model.named_parameters()])
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
         raise InputError(f"{path}: not a checkpoint ({err})") from None
     return model

@@ -1,12 +1,16 @@
 """Full-batch training: Adam with L2 weight decay, window early stopping,
-best-epoch restoration and final test evaluation.
+best-epoch restoration and the test accuracy of the best epoch.
 
 One call to :func:`train` owns its model and random state, so independent
 runs can execute concurrently in separate workers.  Each epoch is a
 training step and a validation pass; each builds its own computation graph
-and returns only floats, so the graph is freed when the phase returns.
-Between epochs :func:`train` keeps the parameters, the Adam moments, the
-history and the best epoch so far.  The features stay in the dataset's CSR
+and returns only floats and the validation logits, so the graph is freed
+when the phase returns.  Between epochs :func:`train` keeps the
+parameters, the Adam moments, the history and the best epoch so far, with
+the logits of its validation pass, from which the test accuracy is read.
+Autodiff ops do not check their outputs for NaN/Inf; instead each epoch
+checks the training loss and every parameter gradient after ``backward``
+and the validation loss after its pass.  The features stay in the dataset's CSR
 form (:class:`gssl.data.FeatureMatrix`): the first layer multiplies them
 through ``spmm``, and its dropout removes the dropped entries from the CSR.
 """
@@ -149,30 +153,39 @@ def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
 
 
 def evaluate(model: Model, ctx: DataContext, indices) -> float:
-    """Fraction of ``indices`` whose logits argmax matches the label."""
-    logits = ctx.forward(model, training=False)
+    """Fraction of ``indices`` whose logits argmax matches the label.
+    Raises NumericError if any logit is not finite."""
+    with np.errstate(all="ignore"):
+        logits = ctx.forward(model, training=False)
+    ad.check_finite(logits.values, "logits")
     return accuracy(logits.values, ctx.labels, indices)
 
 
 def _train_step(model: Model, ctx: DataContext, y_train: np.ndarray, cfg: TrainConfig,
                 state: AdamState, rng) -> float:
-    """One Adam step on the combined loss with dropout on; the loss value."""
-    params = model.parameters()
-    for p in params:
+    """One Adam step on the combined loss with dropout on; the loss value.
+    A non-finite loss or parameter gradient raises NumericError before Adam reads it."""
+    for p in model.parameters():
         p.grad = None
     logits = ctx.forward(model, training=True, rng=rng)
     loss = combined_loss(ad.row_softmax(logits), y_train, ctx.a_hat, cfg.loss)
     ad.backward(loss)
-    adam_step(params, state, cfg, model.decay_mask())
+    ad.check_finite(loss.values, "training loss")
+    for name, p in model.named_parameters():
+        if p.grad is not None:
+            ad.check_finite(p.grad, f"gradient of {name}")
+    adam_step(model.parameters(), state, cfg, model.decay_mask())
     return float(loss.values[0, 0])
 
 
 def _validate(model: Model, ctx: DataContext, y_val: np.ndarray, split: Split,
-              cfg: TrainConfig) -> tuple[float, float]:
-    """Validation loss and accuracy with dropout off."""
+              cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
+    """Validation loss, accuracy and logits with dropout off.  A non-finite
+    loss raises NumericError."""
     logits = ctx.forward(model, training=False)
     loss = combined_loss(ad.row_softmax(logits), y_val, ctx.a_hat, cfg.loss)
-    return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, split.val)
+    ad.check_finite(loss.values, "validation loss")
+    return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, split.val), logits.values
 
 
 def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> TrainReport:
@@ -180,31 +193,38 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
 
     Stops once the validation loss has not improved for
     ``cfg.patience`` consecutive epochs ("improved" means strictly smaller
-    than the best seen).  Parameters are restored from the best epoch
-    before the single final test evaluation.  The validation loss is the
+    than the best seen).  Parameters are restored from the best epoch, and
+    the test accuracy is read from that epoch's validation logits, which
+    were computed from the same parameters.  The validation loss is the
     full training objective (fitness on the validation nodes plus the
     weighted smoothness term).
+
+    Each epoch runs with numpy's floating-point warnings off and checks the
+    training loss, every parameter gradient and the validation loss; a
+    non-finite one raises TrainingAbort naming the epoch and the value.
     """
     rng = np.random.default_rng(cfg.seed)
     y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
     y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
     state = AdamState(model.parameters())
     history: list[tuple[float, float, float]] = []
-    best_loss, best_epoch, best_values = np.inf, 0, model.state_values()
+    best_loss, best_epoch, best_values, best_logits = np.inf, 0, None, None
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         try:
-            train_loss = _train_step(model, ctx, y_train, cfg, state, rng)
-            val_loss, val_acc = _validate(model, ctx, y_val, split, cfg)
+            with np.errstate(all="ignore"):
+                train_loss = _train_step(model, ctx, y_train, cfg, state, rng)
+                val_loss, val_acc, logits = _validate(model, ctx, y_val, split, cfg)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}") from err
         history.append((train_loss, val_loss, val_acc))
-        if val_loss < best_loss:
-            best_loss, best_epoch, best_values = val_loss, epoch, model.state_values()
+        if val_loss < best_loss:  # the first epoch's finite loss always is
+            best_loss, best_epoch = val_loss, epoch
+            best_values, best_logits = model.state_values(), logits
         if epoch - best_epoch >= cfg.patience:
             break
 
     model.load_state_values(best_values)
-    test_acc = evaluate(model, ctx, split.test)
+    test_acc = accuracy(best_logits, ctx.labels, split.test)
     return TrainReport(best_epoch=best_epoch, epochs_run=epoch, test_acc=test_acc,
                        history=history)

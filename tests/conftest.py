@@ -4,7 +4,8 @@ oracle of the ``#sparse`` feature format, the gate for optional
 real-dataset directories, the dense matrix of a small graph and a guard
 that forbids densifying, the finite-difference gradient check, the
 per-entry concat form of GAT attention, the one-shot form of
-edge_aggregate's weight gradient, the textbook Adam step, and
+edge_aggregate's weight gradient, APPNP's propagation as a chain of
+autodiff ops, the textbook Adam step, and
 independent routes to the diffusion solution (dense Cholesky solve,
 gradient descent on the quadratic objective) that the library's solvers
 are checked against."""
@@ -215,6 +216,15 @@ def concat_gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency,
     per_edge = ad.concat_cols(ad.gather_rows(wh, a_hat.row_index_per_entry()),
                               ad.gather_rows(wh, a_hat.indices))
     return ad.edge_softmax(ad.leaky_relu(ad.matmul(per_edge, attn), leaky_slope), a_hat)
+
+
+def appnp_chain(mat, h: Tensor, alpha: float, k: int) -> Tensor:
+    """Oracle: K steps of Z <- (1 - alpha) mat Z + alpha H from Z = H, built
+    from spmm, scale and add as APPNP's forward once did, 4K ops in all."""
+    z = h
+    for _ in range(k):
+        z = ad.add(ad.scale(ad.spmm(mat, z), 1.0 - alpha), ad.scale(h, alpha))
+    return z
 
 
 def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:

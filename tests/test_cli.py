@@ -267,6 +267,23 @@ def test_export_embeddings_cli(tmp_path, capsys):
     assert out.read_text() == (tmp_path / "emb2.csv").read_text()
 
 
+def test_export_of_an_overflowing_model_fails_and_writes_nothing(tmp_path, capsys):
+    # finite weights whose forward overflows: the embedding would hold inf/nan
+    data_dir, ds = write_blobs(tmp_path, n_per=16, seed=7)
+    model = Model.init(ModelConfig(kind="gcn", n_layers=3, hidden_dim=6),
+                       ds.n_features, ds.n_classes, seed=1)
+    for p in model.params:
+        p.weight.values = np.where(p.weight.values > 0, 1e200, -1e200)
+    ckpt = tmp_path / "gcn.npz"
+    save_checkpoint(model, ckpt)
+    out = tmp_path / "emb.csv"
+    rc = main(["export-embeddings", "--checkpoint", str(ckpt),
+               "--dataset", str(data_dir), "--out", str(out)])
+    assert rc == 2
+    assert "non-finite hidden embedding" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_applies_the_checkpoint_preprocessing(tmp_path):
     data_dir, _ = write_blobs(tmp_path, n_per=16, seed=13)
     spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("gcn", False)], n_splits=1,

@@ -200,6 +200,18 @@ def test_appnp_iteration_contracts():
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
 
+def test_appnp_training_graph_does_not_grow_with_k():
+    # the K propagation steps are one graph vertex, whatever K is
+    a_hat = normalized(random_connected_graph(20, seed=15))
+    x = Tensor(np.random.default_rng(8).normal(size=(20, 5)))
+    counts = []
+    for k in (1, 10):
+        cfg = ModelConfig(kind="appnp", n_layers=2, hidden_dim=8, appnp_k=k)
+        logits = Model(cfg, init_params(cfg, 5, 3, seed=16)).forward(x, a_hat, training=True, rng=0)
+        counts.append(len(ad._topo_order(ad.sum(logits)._vertex)))
+    assert counts[0] == counts[1]
+
+
 # ------------------------------------------------------ shared properties
 
 def permute_inputs(g_pairs, n, x_vals, perm):

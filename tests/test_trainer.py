@@ -11,7 +11,7 @@ import gssl.trainer
 from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset, load_dataset, make_splits, row_normalize_features
 from gssl.diffusion import label_matrix
-from gssl.errors import InputError
+from gssl.errors import InputError, NumericError
 from gssl.graph import from_edge_list
 from gssl.losses import LossConfig
 from gssl.models import Model, ModelConfig
@@ -105,9 +105,9 @@ def train_on_scripted_val_losses(monkeypatch, val_losses, patience):
     returns the report, the final parameters and each epoch's parameters."""
     script, snapshots = iter(val_losses), []
 
-    def scripted_validate(model, *args):
+    def scripted_validate(model, ctx, *args):
         snapshots.append(model.state_values())
-        return next(script), 0.5
+        return next(script), 0.5, np.zeros((ctx.labels.shape[0], 2))
 
     monkeypatch.setattr(gssl.trainer, "_validate", scripted_validate)
     ctx = make_ctx(seed=3)
@@ -359,7 +359,39 @@ def test_nan_loss_aborts_with_epoch():
         train(model, ctx, split, cfg)
 
 
+def test_overflowing_step_aborts_naming_the_epoch_and_the_value():
+    # weights of 1e200 overflow the second layer's product to inf; train runs
+    # its steps without numpy's overflow warnings and checks the loss and the
+    # gradients itself
+    ctx = make_ctx(seed=6)
+    split = small_split(two_blob_dataset(n_per=16, seed=6))
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8, dropout=0.0), 4, 2, seed=8)
+    for w in model.parameters()[::2]:
+        w.values = np.full(w.shape, 1e200)
+    cfg = TrainConfig(max_epochs=3, patience=3, seed=8, loss=LossConfig(mu=0.0))
+    with pytest.raises(TrainingAbort, match=r"^epoch 1: non-finite (training loss|gradient of \w+_\d)$"):
+        train(model, ctx, split, cfg)
+
+
+def test_test_accuracy_is_the_restored_parameters_accuracy():
+    ctx = make_ctx(seed=9)
+    split = small_split(two_blob_dataset(n_per=16, seed=9))
+    model = Model.init(ModelConfig(kind="gcn", n_layers=2, hidden_dim=8), 4, 2, seed=9)
+    cfg = TrainConfig(max_epochs=30, patience=5, seed=9, loss=LossConfig(mu=0.5))
+    report = train(model, ctx, split, cfg)
+    assert report.test_acc == evaluate(model, ctx, split.test)
+
+
 # ---------------------------------------------------------------- evaluate
+
+def test_evaluate_rejects_non_finite_logits():
+    ctx = make_ctx(seed=10)
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), 4, 2, seed=10)
+    for w in model.parameters()[::2]:
+        w.values = np.full(w.shape, 1e200)
+    with pytest.raises(NumericError, match="non-finite logits"):
+        evaluate(model, ctx, np.arange(4))
+
 
 def test_accuracy_perfect_and_constant():
     labels = np.array([0, 1, 0, 1])
