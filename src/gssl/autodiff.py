@@ -81,7 +81,7 @@ class Tensor:
     """Dense float64 matrix.  A ``requires_grad`` leaf is its own graph
     vertex; an op output that takes a gradient points to its ``_Node``."""
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "_node")
+    __slots__ = ("values", "grad", "requires_grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -91,7 +91,6 @@ class Tensor:
             raise NumericError("tensor constructed with non-finite values")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
         self._node: _Node | None = None
 
     @property
@@ -119,10 +118,10 @@ class Tensor:
         self._node.vjp = fn
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], *vjps) -> Tensor:
+def _result(values: np.ndarray, parents: tuple[Tensor, ...], *vjps) -> Tensor:
     """Wrap an op's output.  ``vjps[i]`` maps the output gradient to
     ``parents[i]``'s; only parents that take a gradient are kept, and the
     output gets a ``_Node`` only if one is kept.  The VJPs must hold the
@@ -130,7 +129,6 @@ def _result(values: np.ndarray, op: str, parents: tuple[Tensor, ...], *vjps) -> 
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out.op = op
     kept = [(p._vertex, f) for p, f in zip(parents, vjps) if p.requires_grad]
     out.requires_grad = bool(kept)
     out._node = _Node(*zip(*kept)) if kept else None
@@ -154,16 +152,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise InputError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    return _result(av @ bv, "matmul", (a, b), lambda g: g @ bv.T, lambda g: av.T @ g)
+    return _result(av @ bv, (a, b), lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b; b may be a 1 x d row vector added to every row."""
     _check_tensor(a, "add"), _check_tensor(b, "add")
     if a.shape == b.shape:
-        return _result(a.values + b.values, "add", (a, b), lambda g: g, lambda g: g)
+        return _result(a.values + b.values, (a, b), lambda g: g, lambda g: g)
     if b.shape == (1, a.shape[1]):
-        return _result(a.values + b.values, "add_bias", (a, b),
+        return _result(a.values + b.values, (a, b),
                        lambda g: g, lambda g: g.sum(axis=0, keepdims=True))
     raise InputError(f"add shape mismatch: {a.shape} + {b.shape}")
 
@@ -172,13 +170,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "sub"), _check_tensor(b, "sub")
     if a.shape != b.shape:
         raise InputError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    return _result(a.values - b.values, "sub", (a, b), lambda g: g, np.negative)
+    return _result(a.values - b.values, (a, b), lambda g: g, np.negative)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     _check_tensor(a, "scale")
     c = float(c)
-    return _result(a.values * c, "scale", (a,), lambda g: g * c)
+    return _result(a.values * c, (a,), lambda g: g * c)
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,7 +184,7 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise InputError(f"elementwise_mul shape mismatch: {a.shape} * {b.shape}")
     av, bv = a.values, b.values
-    return _result(av * bv, "elementwise_mul", (a, b), lambda g: g * bv, lambda g: g * av)
+    return _result(av * bv, (a, b), lambda g: g * bv, lambda g: g * av)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -198,7 +196,7 @@ def row_softmax(a: Tensor) -> Tensor:
     def vjp(g):
         return s * (g - (g * s).sum(axis=1, keepdims=True))
 
-    return _result(s, "row_softmax", (a,), vjp)
+    return _result(s, (a,), vjp)
 
 
 def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
@@ -210,13 +208,13 @@ def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
     def vjp(g):
         return np.where(mask, g / clamped, 0.0)
 
-    return _result(np.log(clamped), "log_clamped", (a,), vjp)
+    return _result(np.log(clamped), (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     _check_tensor(a, "relu")
     mask = a.values > 0
-    return _result(np.maximum(a.values, 0.0), "relu", (a,), lambda g: g * mask)
+    return _result(np.maximum(a.values, 0.0), (a,), lambda g: g * mask)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -227,7 +225,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def vjp(g):
         return np.where(mask, g, slope * g)
 
-    return _result(np.where(mask, a.values, slope * a.values), "leaky_relu", (a,), vjp)
+    return _result(np.where(mask, a.values, slope * a.values), (a,), vjp)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -235,15 +233,14 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise InputError(f"concat_cols row mismatch: {a.shape} || {b.shape}")
     k = a.shape[1]
-    return _result(np.hstack([a.values, b.values]), "concat_cols", (a, b),
-                   lambda g: g[:, :k], lambda g: g[:, k:])
+    return _result(np.hstack([a.values, b.values]), (a, b), lambda g: g[:, :k], lambda g: g[:, k:])
 
 
 def sum(a: Tensor) -> Tensor:
     """Sum of all entries, as a 1x1 tensor."""
     _check_tensor(a, "sum")
     shape = a.shape
-    return _result(np.array([[a.values.sum()]]), "sum", (a,), lambda g: np.full(shape, g[0, 0]))
+    return _result(np.array([[a.values.sum()]]), (a,), lambda g: np.full(shape, g[0, 0]))
 
 
 def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
@@ -267,7 +264,7 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     # The VJP keeps the 1-byte mask, not the 8-byte multiplier: (g * keep) *
     # factor has the bits of g * (keep * factor), signed zeros included.
     mult = keep * factor
-    return _result(a.values * mult, "dropout", (a,), lambda g: (g * keep) * factor)
+    return _result(a.values * mult, (a,), lambda g: (g * keep) * factor)
 
 
 def spmm(mat, b: Tensor) -> Tensor:
@@ -277,7 +274,7 @@ def spmm(mat, b: Tensor) -> Tensor:
         raise InputError(f"spmm expects a scipy sparse matrix, got {type(mat).__name__}")
     if mat.shape[1] != b.shape[0]:
         raise InputError(f"spmm shape mismatch: {mat.shape} @ {b.shape}")
-    return _result(mat @ b.values, "spmm", (b,), lambda g: mat.T @ g)
+    return _result(mat @ b.values, (b,), lambda g: mat.T @ g)
 
 
 def propagate(mat, h: Tensor, alpha: float, k: int) -> Tensor:
@@ -317,7 +314,7 @@ def propagate(mat, h: Tensor, alpha: float, k: int) -> Tensor:
             g += t
         return g
 
-    return _result(z, "propagate", (h,), vjp)
+    return _result(z, (h,), vjp)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -339,7 +336,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
             out[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
         return out
 
-    return _result(a.values[idx], "gather_rows", (a,), vjp)
+    return _result(a.values[idx], (a,), vjp)
 
 
 def _segment_starts(adj):
@@ -369,7 +366,7 @@ def edge_softmax(scores: Tensor, adj) -> Tensor:
         dot = np.add.reduceat(g[:, 0] * alpha, starts)
         return (alpha * (g[:, 0] - np.repeat(dot, counts)))[:, None]
 
-    return _result(alpha[:, None], "edge_softmax", (scores,), vjp)
+    return _result(alpha[:, None], (scores,), vjp)
 
 
 def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
@@ -395,8 +392,7 @@ def edge_aggregate(alpha: Tensor, h: Tensor, adj) -> Tensor:
             np.einsum("ec,ec->e", g[rows[s]], hv[cols[s]], out=out[s, 0])
         return out
 
-    return _result(mat @ hv, "edge_aggregate", (alpha, h),
-                   alpha_vjp, lambda g: mat.T @ g)
+    return _result(mat @ hv, (alpha, h), alpha_vjp, lambda g: mat.T @ g)
 
 
 def _topo_order(root) -> list:

@@ -255,9 +255,9 @@ def _train_config(spec: ExperimentSpec, mu: float, seed: int) -> TrainConfig:
                        patience=spec.patience, loss=loss, seed=seed)
 
 
-def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict, list | None]:
+def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict, Model | None]:
     """Train one (model, ell, n_layers, mu, split) task: its run record, and
-    its parameter arrays for the ``base_seed`` split if ``save_checkpoints``.
+    the trained model for the ``base_seed`` split if ``save_checkpoints``.
 
     A run that raises gives a record whose status names the error.
     """
@@ -275,7 +275,7 @@ def _run_task(spec: ExperimentSpec, ctx: DataContext, task: tuple) -> tuple[dict
     record.update(asdict(report), status="ok",
                   val_acc_best=report.history[report.best_epoch - 1][2])
     keep = spec.save_checkpoints and split.seed == spec.base_seed
-    return record, model.state_values() if keep else None
+    return record, model if keep else None
 
 
 _POOL_STATE: dict = {}
@@ -285,7 +285,7 @@ def _pool_init(spec: ExperimentSpec, ctx: DataContext):
     _POOL_STATE["run"] = partial(_run_task, spec, ctx)
 
 
-def _pool_run(task: tuple) -> tuple[dict, list | None]:
+def _pool_run(task: tuple) -> tuple[dict, Model | None]:
     return _POOL_STATE["run"](task)
 
 
@@ -310,15 +310,28 @@ def _select_mu(by_mu: dict[float, list[dict]]) -> float:
     return best_mu
 
 
+# What aggregate_runs reads of every run record, and of one whose status is ok.
+_RECORD_KEYS = ("dataset", "kind", "regularized", "ell", "n_layers", "mu", "seed")
+_OK_RECORD_KEYS = ("test_acc", "val_acc_best")
+
+
 def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]:
     """The run records in ``runs_dir`` by path; InputError naming a record that
-    is not valid JSON, or unless all carry one spec hash (``spec_hash``, when given)."""
+    is not a JSON object holding the keys :func:`aggregate_runs` reads, or
+    unless all carry one spec hash (``spec_hash``, when given)."""
     records = {}
     for path in sorted(runs_dir.glob("*.json")):
         try:
-            records[path] = json.loads(path.read_text(encoding="utf-8"))
+            record = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as err:
             raise InputError(f"run record {path} is not valid JSON: {err}") from None
+        if not isinstance(record, dict):
+            raise InputError(f"run record {path} is not a JSON object")
+        keys = _RECORD_KEYS + (_OK_RECORD_KEYS if record.get("status", "ok") == "ok" else ())
+        missing = [k for k in keys if k not in record]
+        if missing:
+            raise InputError(f"run record {path} lacks {', '.join(missing)}")
+        records[path] = record
     hashes = {r.get("spec_hash") for r in records.values()}
     if spec_hash is not None:
         hashes.add(spec_hash)
@@ -355,6 +368,18 @@ def aggregate_runs(runs_dir) -> ResultsTable:
     return ResultsTable(rows)
 
 
+def _checkpoint_path(out_dir: Path, label: str, ell: int, n_layers: int) -> Path:
+    return out_dir / f"{label}_ell{ell}_L{n_layers}.npz"
+
+
+def _write_whole(path: Path, write) -> None:
+    """``write(tmp)`` to ``path`` plus ``.tmp``, then rename it to ``path``:
+    ``path`` never holds a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
     """Run every (model, ell, n_layers) cell over n_splits splits.
 
@@ -364,14 +389,21 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
     table is :func:`aggregate_runs` of them.  A run that raises marks its
     cell failed and the remaining cells proceed.  An ``output_dir``
     belongs to one spec: records of another raise InputError before
-    anything trains, and a rerun replaces its own.
+    anything trains.  A rerun first deletes what the spec writes (its
+    records, both tables, its checkpoints) and any ``*.tmp`` a killed run
+    left, and every file is written whole under a temporary name, then
+    renamed into place, so a rerun that fails leaves no table of an earlier one.
     """
     out_dir = Path(spec.output_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     spec_hash = _spec_hash(spec)
-    for path in _read_runs(runs_dir, spec_hash):
-        path.unlink()
+    checkpoints = (_checkpoint_path(out_dir, m.label, ell, n_layers)
+                   for m in spec.models for ell in spec.ell for n_layers in spec.layer_counts)
+    for path in [*_read_runs(runs_dir, spec_hash), *runs_dir.glob("*.tmp"),
+                 *out_dir.glob("*.tmp"), out_dir / "results.csv", out_dir / "results.txt",
+                 *checkpoints]:
+        path.unlink(missing_ok=True)
 
     ds, ctx = _load_context(spec.dataset, spec.normalize_features)
     splits = {ell: make_splits(ds, ell, spec.n_splits, spec.base_seed,
@@ -381,30 +413,27 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
              for mspec in spec.models for ell in spec.ell for n_layers in spec.layer_counts
              for mu in (spec.mu_grid if mspec.regularized else [0.0]) for split in splits[ell]]
 
-    params_by_run = {}
-    for record, params in _execute(spec, ctx, tasks):
+    model_by_run = {}
+    for record, model in _execute(spec, ctx, tasks):
         record["spec_hash"] = spec_hash
         run = (record["model"], record["ell"], record["n_layers"], record["mu"])
         stem = "{}_ell{}_L{}_mu{:g}".format(*run) + f"_seed{record['seed']}"
-        tmp = runs_dir / f"{stem}.json.tmp"  # written whole, then renamed into place
-        tmp.write_text(json.dumps(record), encoding="utf-8")
-        os.replace(tmp, runs_dir / f"{stem}.json")
+        _write_whole(runs_dir / f"{stem}.json",
+                     lambda path: path.write_text(json.dumps(record), encoding="utf-8"))
         status = record["status"]
         log(f"{stem}: " + (f"test {record['test_acc'] * 100.0:.1f}" if status == "ok" else status))
-        if params is not None:
-            params_by_run[run] = params
+        if model is not None:
+            model_by_run[run] = model
 
     table = aggregate_runs(runs_dir)
+    preprocessing = {"normalize_features": spec.normalize_features}
     for row in table.rows:
         run = (row.label, row.ell, row.n_layers, row.mu)
-        if row.status == "ok" and run in params_by_run:
-            model = Model.init(_model_config(spec, row.model, row.n_layers),
-                               ctx.x.shape[1], ctx.n_classes, seed=0)
-            model.load_state_values(params_by_run[run])
-            save_checkpoint(model, out_dir / f"{row.label}_ell{row.ell}_L{row.n_layers}.npz",
-                            preprocessing={"normalize_features": spec.normalize_features})
-    (out_dir / "results.csv").write_text(table.to_csv(), encoding="ascii")
-    (out_dir / "results.txt").write_text(table.to_text(), encoding="ascii")
+        if row.status == "ok" and run in model_by_run:
+            _write_whole(_checkpoint_path(out_dir, row.label, row.ell, row.n_layers),
+                         partial(save_checkpoint, model_by_run[run], preprocessing=preprocessing))
+    for name, text in (("results.csv", table.to_csv()), ("results.txt", table.to_text())):
+        _write_whole(out_dir / name, lambda path: path.write_text(text, encoding="ascii"))
     return table
 
 
@@ -532,7 +561,7 @@ def main(argv=None) -> int:
             save_splits(splits, args.out)
             print(f"wrote {len(splits)} splits to {args.out}")
             return 0
-    except GsslError as err:
+    except (GsslError, OSError) as err:  # an OSError: an input or output path
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

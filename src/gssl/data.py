@@ -13,11 +13,15 @@ byte below 0x20 or above 0x7e fails the load with its file and line.
 * ``labels.txt``    one integer class id per line.
 
 Each file is parsed a block of lines at a time by a few whole-block array
-calls; only a block that fails is read again line by line, to name the
-bad line.  Either feature format loads into a :class:`FeatureMatrix`, a
-CSR matrix that stores only the nonzero (or explicitly listed) entries;
-the loader, the row normalization and the models never hold the dense
-n x d array.
+calls, and every check of a line's content runs in that block: a node id
+beyond the label count, a negative class id, a feature index out of range
+or listed twice in its row, a non-finite feature value.  Only a block that
+fails is read again line by line, so every error names its file and line.
+Either feature format loads into a :class:`FeatureMatrix`, a canonical CSR
+matrix (each row's indices increasing) that stores only the nonzero (or
+explicitly listed) entries; the loader, the row normalization and the
+models never hold the dense n x d array.  ``labels.txt`` is read first:
+its line count is the node count the edge list is checked against.
 
 A split takes ``ell`` labeled training nodes per class, then 500
 validation and 1000 test nodes sampled uniformly (in that order, so
@@ -204,26 +208,34 @@ def _numbers(text: bytes, n_words: int, dtype=np.int64, sep=" ") -> np.ndarray |
     return out if out.size == n_words else None
 
 
-def _edge_lines(text: bytes) -> tuple[np.ndarray]:
-    """The node ids of whole lines of an edge list, in order."""
+def _edge_lines(text: bytes, n_nodes=np.inf) -> tuple[np.ndarray]:
+    """The node ids of whole lines of an edge list, in order; each below ``n_nodes``."""
     if b"#" in text:
         text = re.sub(rb"(?m)^[ \t]*#.*", b"", text)
     _, starts, _, counts = _words(text)
     ids = _numbers(text, starts.size)
-    if np.all((counts == 0) | (counts == 2)) and ids is not None and not np.any(ids < 0):
-        return ids,
-    line = text.strip().decode()
     if np.any((counts != 0) & (counts != 2)):
-        raise InputError(f"expected 'u v', got {line!r}")
-    raise InputError(f"{'non-integer' if ids is None else 'negative'} node id in {line!r}")
+        raise InputError(f"expected 'u v', got {text.strip().decode()!r}")
+    if ids is None or np.any(ids < 0):
+        raise InputError(f"{'non-integer' if ids is None else 'negative'} node id in "
+                         f"{text.strip().decode()!r}")
+    beyond = ids[ids >= n_nodes]
+    if beyond.size:
+        raise InputError(f"node id {beyond[0]} out of range [0, {n_nodes})")
+    return ids,
+
+
+def _column(path, parse) -> np.ndarray:
+    """The one array ``parse`` makes of each block of ``path``'s lines, joined."""
+    column, = map(np.concatenate, zip(*_parse_lines(path, _read_text(path), parse)))
+    return column
 
 
 def read_edge_list(path) -> np.ndarray:
     """The (m, 2) int64 array of an edge-list file: one "u v" pair of 0-based
     ids per line, split by blanks or tabs; lines starting with '#' and blank
     lines are skipped.  A malformed line raises InputError with its number."""
-    ids, = map(np.concatenate, zip(*_parse_lines(path, _read_text(path), _edge_lines)))
-    return ids.reshape(-1, 2)
+    return _column(path, _edge_lines).reshape(-1, 2)
 
 
 def _sparse_dimension(path: Path, header: str) -> int:
@@ -239,8 +251,9 @@ def _sparse_dimension(path: Path, header: str) -> int:
     return d
 
 
-def _sparse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row lengths, column ids and values of whole lines of ``idx:value`` pairs."""
+def _sparse_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row lengths, column ids (increasing within each row) and values of whole
+    lines of ``idx:value`` pairs."""
     b, starts, ends, counts = _words(text)
     at = np.flatnonzero(b == ord(":"))
     flip = np.zeros(b.size + 1, bool)
@@ -254,7 +267,23 @@ def _sparse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vals = _numbers(np.maximum(b * value, ord(" ")).tobytes(), starts.size, np.float64)
     if vals is None:
         raise InputError("non-numeric feature value")
-    return counts, _numbers(index, starts.size), vals
+    cols = _numbers(index, starts.size)
+    beyond = cols[cols >= d]
+    if beyond.size:
+        raise InputError(f"feature index {beyond[0]} out of range")
+    if not np.isfinite(vals).all():
+        raise InputError("non-finite feature value")
+    indptr = np.append(0, np.cumsum(counts))
+    opens = np.zeros(cols.size + 1, bool)
+    opens[indptr[:-1]] = True  # a row's first entry
+    if not np.all(opens[1:-1] | (cols[1:] > cols[:-1])):  # a row out of order or repeated
+        block = sp.csr_matrix((vals, cols, indptr), (counts.size, d))
+        block.sort_indices()
+        cols, vals = block.indices, block.data
+        twice = np.flatnonzero(~opens[1:-1] & (cols[1:] == cols[:-1]))
+        if twice.size:
+            raise InputError(f"feature index {cols[twice[0]]} listed twice")
+    return counts, cols, vals
 
 
 def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,7 +307,10 @@ def _dense_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise InputError(f"expected {d} values, got {fields[fields != d][0]}")
     rows = rows.reshape(-1, d)
     r, c = np.nonzero(rows)
-    return np.bincount(r, minlength=fields.size), c, rows[r, c]
+    vals = rows[r, c]
+    if not np.isfinite(vals).all():
+        raise InputError("non-finite feature value")
+    return np.bincount(r, minlength=fields.size), c, vals
 
 
 def _parse_features(path: Path) -> FeatureMatrix:
@@ -290,46 +322,27 @@ def _parse_features(path: Path) -> FeatureMatrix:
     if header.startswith("#sparse"):
         d, first, parse = _sparse_dimension(path, header), 2, _sparse_rows
     else:
-        d, first = header.count(",") + 1, 1
-        parse = partial(_dense_rows, d=d)
-    blocks = _parse_lines(path, text, parse, first)
+        d, first, parse = header.count(",") + 1, 1, _dense_rows
+    blocks = _parse_lines(path, text, partial(parse, d=d), first)
     del text  # the blocks are joined without the file's bytes
     counts, indices, data = map(np.concatenate, zip(*blocks))
     if not counts.size:
         raise InputError(f"{path}: no feature rows")
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    def line_of(entry) -> int:
-        return first - 1 + int(np.searchsorted(indptr, entry, side="right"))
-
-    beyond = np.flatnonzero(indices >= d)
-    if beyond.size:
-        raise InputError(f"{path}:{line_of(beyond[0])}: feature index "
-                         f"{indices[beyond[0]]} out of range")
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise InputError(f"{path}:{line_of(bad[0])}: non-finite feature value")
-    features = FeatureMatrix((data, indices, indptr), shape=(counts.size, d))
-    if not features.has_canonical_format:  # a row lists its indices out of order or twice
-        features.sort_indices()
-        again = np.flatnonzero(np.diff(features.indices) == 0)
-        again = again[~np.isin(again + 1, indptr)]  # both entries in one row
-        if again.size:
-            raise InputError(f"{path}:{line_of(again[0])}: feature index "
-                             f"{features.indices[again[0]]} listed twice")
-    return features
+    indptr = np.append(0, np.cumsum(counts))
+    return FeatureMatrix((data, indices, indptr), shape=(counts.size, d))
 
 
 def _label_lines(text: bytes) -> tuple[np.ndarray]:
     """The class ids of whole lines of a label file."""
     _, starts, _, counts = _words(text)
     labels = _numbers(text, starts.size)
-    if np.all(counts == 1) and labels is not None:
-        return labels,
     if np.any(counts == 0):
         raise InputError("blank label line")
-    raise InputError(f"non-integer class id {text.strip().decode()!r}")
+    if labels is None or np.any(counts != 1):
+        raise InputError(f"non-integer class id {text.strip().decode()!r}")
+    if np.any(labels < 0):
+        raise InputError(f"negative class id {text.strip().decode()!r}")
+    return labels,
 
 
 def load_dataset(directory) -> LabeledDataset:
@@ -338,16 +351,14 @@ def load_dataset(directory) -> LabeledDataset:
     for fname in ("graph.edges", "features.csv", "labels.txt"):
         if not (directory / fname).is_file():
             raise InputError(f"{directory}: missing {fname}")
-    labels, = map(np.concatenate, zip(*_parse_lines(
-        directory / "labels.txt", _read_text(directory / "labels.txt"), _label_lines)))
+    labels = _column(directory / "labels.txt", _label_lines)
     features = _parse_features(directory / "features.csv")
     n = labels.shape[0]
     if features.shape[0] != n:
         raise InputError(
             f"{directory}: features.csv has {features.shape[0]} rows, labels.txt has {n}")
-    pairs = read_edge_list(directory / "graph.edges")
-    graph = from_edge_list(pairs, n)
-    return LabeledDataset(graph, features, labels, name=directory.name)
+    pairs = _column(directory / "graph.edges", partial(_edge_lines, n_nodes=n)).reshape(-1, 2)
+    return LabeledDataset(from_edge_list(pairs, n), features, labels, name=directory.name)
 
 
 def row_normalize_features(ds: LabeledDataset) -> LabeledDataset:

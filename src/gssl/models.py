@@ -232,8 +232,10 @@ class Model:
         return [t.values.copy() for t in self.parameters()]
 
     def load_state_values(self, values) -> None:
+        """Copy ``values`` into the parameters and drop their gradients, which
+        belonged to the values replaced."""
         for t, v in zip(self.parameters(), values, strict=True):
-            t.values = v.copy()
+            t.values, t.grad = v.copy(), None
 
 
 def hidden_embedding(model: Model, x, a_hat: NormalizedAdjacency | None = None) -> Tensor:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +341,80 @@ def test_truncated_run_record_is_input_error_exit_2(tmp_path, capsys):
     assert record.name in capsys.readouterr().err
 
 
+def spec_file(spec, path):
+    path.write_text(json.dumps(dict(spec.__dict__, models=[m.__dict__ for m in spec.models])),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_a_failed_rerun_leaves_no_earlier_output(tmp_path, capsys):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=9)
+    out = tmp_path / "out"
+    spec = spec_file(tiny_spec(data_dir, out, n_splits=1, save_checkpoints=True),
+                     tmp_path / "spec.json")
+    assert main(["run", "--spec", spec]) == 0
+    assert {"results.csv", "results.txt", "MLP_ell3_L2.npz", "R-MLP_ell3_L2.npz"} <= {
+        p.name for p in out.iterdir()}
+    for left in ("results.csv.tmp", "MLP_ell3_L2.npz.tmp", "runs/MLP_seed9.json.tmp"):
+        (out / left).write_text("a killed run's", encoding="ascii")
+    (out / "notes.txt").write_text("not the spec's", encoding="ascii")
+    (data_dir / "labels.txt").unlink()
+    assert main(["run", "--spec", spec]) == 2
+    assert "missing labels.txt" in capsys.readouterr().err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["notes.txt", "runs"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda r: [], "is not a JSON object"),
+    (lambda r: {}, "lacks dataset, kind, regularized, ell, n_layers, mu, seed, test_acc"),
+    (lambda r: {k: v for k, v in r.items() if k != "mu"}, "lacks mu"),
+    (lambda r: {k: v for k, v in r.items() if k != "val_acc_best"}, "lacks val_acc_best"),
+], ids=["list", "empty-object", "no-mu", "ok-without-val-acc"])
+def test_a_run_record_that_is_not_one_is_input_error_exit_2(tmp_path, capsys, edit, named):
+    data_dir, _ = write_blobs(tmp_path, n_per=16, seed=9)
+    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)], n_splits=1)
+    run_experiment(spec, log=quiet)
+    record = next((tmp_path / "out" / "runs").iterdir())
+    record.write_text(json.dumps(edit(json.loads(record.read_text(encoding="utf-8")))),
+                      encoding="utf-8")
+    with pytest.raises(InputError, match=f"{re.escape(record.name)} {named}"):
+        aggregate_runs(record.parent)
+    assert main(["run", "--spec", spec_file(spec, tmp_path / "spec.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and record.name in err and named in err
+
+
+@pytest.mark.parametrize("command", ["make-splits", "export-embeddings", "run"])
+def test_an_output_path_that_cannot_be_written_is_error_exit_2(tmp_path, capsys, command):
+    data_dir, ds = write_blobs(tmp_path, n_per=16, seed=9)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4),
+                               ds.n_features, ds.n_classes, seed=0), ckpt)
+    (tmp_path / "file").write_text("a regular file", encoding="ascii")
+    spec = tiny_spec(data_dir, tmp_path / "out", n_splits=1)
+    argv = {"make-splits": ["make-splits", "--dataset", str(data_dir), "--ell", "3",
+                            "--val-size", "8", "--test-size", "8",
+                            "--out", str(tmp_path / "missing" / "s.json")],
+            "export-embeddings": ["export-embeddings", "--checkpoint", str(ckpt),
+                                  "--dataset", str(data_dir),
+                                  "--out", str(tmp_path / "missing" / "emb.csv")],
+            "run": ["run", "--spec", spec_file(spec, tmp_path / "spec.json"),
+                    "--output-dir", str(tmp_path / "file" / "out")]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_python_dash_m_gssl_runs_the_cli(tmp_path):
+    data_dir, _ = write_blobs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(gssl.cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "gssl", "validate-dataset", str(data_dir)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("OK\n")
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "n_split": 3}', "'n_split'"),
     ('{"dataset": "d"}', "'models'"),
@@ -424,6 +502,21 @@ def non_ascii_byte_in_labels(data_dir, ds, ckpt):
     return "labels.txt:2: byte 0xff is not printable ASCII"
 
 
+def edge_beyond_the_nodes(data_dir, ds, ckpt):
+    edges = data_dir / "graph.edges"
+    lines = edges.read_text(encoding="ascii").splitlines(keepends=True)
+    edges.write_text("".join(lines[:2]) + f"0 {ds.n_nodes}\n" + "".join(lines[2:]),
+                     encoding="ascii")
+    return f"graph.edges:3: node id {ds.n_nodes} out of range [0, {ds.n_nodes})"
+
+
+def negative_label(data_dir, ds, ckpt):
+    labels = data_dir / "labels.txt"
+    lines = labels.read_text(encoding="ascii").splitlines(keepends=True)
+    labels.write_text("".join(lines[:2]) + "-1\n" + "".join(lines[3:]), encoding="ascii")
+    return "labels.txt:3: negative class id '-1'"
+
+
 def text_checkpoint(data_dir, ds, ckpt):
     ckpt.write_text("not a checkpoint\n", encoding="ascii")
     return str(ckpt)
@@ -444,11 +537,14 @@ def checkpoint_without(entry):
     (negative_sparse_dimension, "propagate"),
     (header_only_sparse_features, "propagate"),
     (non_ascii_byte_in_labels, "propagate"),
+    (edge_beyond_the_nodes, "propagate"),
+    (negative_label, "propagate"),
     (text_checkpoint, "export-embeddings"),
     (checkpoint_without("config"), "export-embeddings"),
     (checkpoint_without("weight_1"), "export-embeddings"),
 ], ids=["nan-dense-feature", "inf-sparse-feature", "negative-sparse-dimension",
-        "header-only-sparse-features", "non-ascii-label", "text-checkpoint",
+        "header-only-sparse-features", "non-ascii-label", "edge-beyond-the-nodes",
+        "negative-label", "text-checkpoint",
         "npz-without-config", "npz-without-last-weight"])
 def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
     data_dir, ds = write_blobs(tmp_path)

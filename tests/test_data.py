@@ -314,6 +314,30 @@ def test_sparse_row_may_list_its_indices_out_of_order(tmp_path):
     assert same_csr(load_dataset(d).features, load_dataset(write_toy_dir(tmp_path / "b")).features)
 
 
+def test_an_index_of_the_row_before_is_no_repeat(tmp_path):
+    # out-of-order rows are sorted within their rows only: a row may start
+    # with the index its previous (or an earlier, past a blank row) one ended with
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text("#sparse d=3\n2:1 1:3\n2:2 0:1\n\n2:4 1:5 0:6\n",
+                                    encoding="ascii")
+    features = load_dataset(d).features
+    assert features.indices.tolist() == [1, 2, 0, 2, 0, 1, 2]
+    assert features.data.tolist() == [3, 1, 1, 2, 6, 5, 4]
+    assert features.has_canonical_format
+
+
+@pytest.mark.parametrize("body, named", [
+    ("0:1\n0:1 0:2\n\n0:1 3:1\n", "features.csv:3: feature index 0 listed twice"),
+    ("0:1\n0:inf\n\n0:1 3:1\n", "features.csv:3: non-finite feature value"),
+    ("0:1\n1:1 0:1 1:2\n\n0:nan\n", "features.csv:3: feature index 1 listed twice"),
+], ids=["repeat-then-range", "non-finite-then-range", "repeat-then-non-finite"])
+def test_the_first_bad_feature_line_is_named(tmp_path, body, named):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text("#sparse d=3\n" + body, encoding="ascii")
+    with pytest.raises(InputError, match=named):
+        load_dataset(d)
+
+
 def test_dataset_built_in_memory_rejects_non_finite_features():
     ds = two_blob_dataset(n_per=4, seed=7)
     features = np.ones((ds.n_nodes, 2))
@@ -324,8 +348,8 @@ def test_dataset_built_in_memory_rejects_non_finite_features():
 
 def test_edge_ids_must_fit_node_count(tmp_path):
     d = write_toy_dir(tmp_path)
-    (d / "graph.edges").write_text("0 4\n", encoding="ascii")
-    with pytest.raises(InputError, match="out of range"):
+    (d / "graph.edges").write_text("0 1\n" * 1500 + "1 2\n3 4\n", encoding="ascii")
+    with pytest.raises(InputError, match=r"graph.edges:1502: node id 4 out of range \[0, 4\)"):
         load_dataset(d)
 
 

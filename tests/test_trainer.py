@@ -314,6 +314,16 @@ def test_train_restores_best_epoch_parameters():
     assert np.isclose(val_loss, monitored[report.best_epoch - 1], rtol=1e-12)
 
 
+def test_the_restored_model_keeps_no_gradient():
+    # the last step's gradients belong to parameters the restore replaced; a
+    # pool worker would otherwise pickle them with the model it returns
+    ctx = make_ctx(seed=2)
+    model = Model.init(ModelConfig(kind="gcn", n_layers=2, hidden_dim=8), 4, 2, seed=3)
+    train(model, ctx, small_split(two_blob_dataset(n_per=16, seed=2), seed=1),
+          TrainConfig(max_epochs=3, patience=3))
+    assert [p.grad for p in model.parameters()] == [None] * len(model.parameters())
+
+
 def test_vanilla_loss_reaches_perfect_train_accuracy():
     ctx = make_ctx(seed=4, n_per=12)
     split = small_split(two_blob_dataset(n_per=12, seed=4), ell=4, val=6, test=6)
