@@ -243,13 +243,16 @@ def sum(a: Tensor) -> Tensor:
     return _result(np.array([[a.values.sum()]]), (a,), lambda g: np.full(shape, g[0, 0]))
 
 
-def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
+def dropout(a: Tensor, rate: float, rng=None, rows=None) -> Tensor:
     """Inverted dropout: surviving entries are scaled by 1/(1-rate).
 
     The caller applies it only when training.  With ``rate=0`` this is the
     exact identity (the input tensor is returned unchanged).  ``rng`` may
     be an int seed or a ``numpy.random.Generator``; a fixed seed gives a
-    fixed mask.
+    fixed mask.  With ``rows`` = (m, index), ``a`` holds rows ``index`` of
+    an m-row input: the mask is drawn for all m rows and ``a`` keeps its
+    rows' draws, so the random stream and each row's mask are those of the
+    whole input.
     """
     _check_tensor(a, "dropout")
     if not 0.0 <= rate < 1.0:
@@ -259,7 +262,12 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     if rng is None:
         raise InputError("dropout needs a seed or Generator")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    keep = gen.random(a.shape) >= rate
+    if rows is None:
+        keep = gen.random(a.shape) >= rate
+    else:
+        if len(rows[1]) != a.shape[0]:
+            raise InputError(f"dropout of {a.shape[0]} rows given {len(rows[1])} row indices")
+        keep = gen.random((rows[0], a.shape[1]))[rows[1]] >= rate
     factor = 1.0 / (1.0 - rate)
     # The VJP keeps the 1-byte mask, not the 8-byte multiplier: (g * keep) *
     # factor has the bits of g * (keep * factor), signed zeros included.

@@ -310,15 +310,18 @@ def _select_mu(by_mu: dict[float, list[dict]]) -> float:
     return best_mu
 
 
-# What aggregate_runs reads of every run record, and of one whose status is ok.
-_RECORD_KEYS = ("dataset", "kind", "regularized", "ell", "n_layers", "mu", "seed")
-_OK_RECORD_KEYS = ("test_acc", "val_acc_best")
+# What aggregate_runs reads of every run record, and of one whose status is
+# ok, with the type of each value.
+_RECORD_KEYS = {"dataset": "str", "kind": "str", "regularized": "bool", "ell": "int",
+                "n_layers": "int", "mu": "float", "seed": "int"}
+_OK_RECORD_KEYS = {"test_acc": "float", "val_acc_best": "float"}
 
 
 def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]:
     """The run records in ``runs_dir`` by path; InputError naming a record that
-    is not a JSON object holding the keys :func:`aggregate_runs` reads, or
-    unless all carry one spec hash (``spec_hash``, when given)."""
+    is not a JSON object holding the keys :func:`aggregate_runs` reads with
+    values of their types, or unless all carry one spec hash (``spec_hash``,
+    when given)."""
     records = {}
     for path in sorted(runs_dir.glob("*.json")):
         try:
@@ -327,10 +330,14 @@ def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]
             raise InputError(f"run record {path} is not valid JSON: {err}") from None
         if not isinstance(record, dict):
             raise InputError(f"run record {path} is not a JSON object")
-        keys = _RECORD_KEYS + (_OK_RECORD_KEYS if record.get("status", "ok") == "ok" else ())
+        keys = _RECORD_KEYS | (_OK_RECORD_KEYS if record.get("status", "ok") == "ok" else {})
         missing = [k for k in keys if k not in record]
         if missing:
             raise InputError(f"run record {path} lacks {', '.join(missing)}")
+        for key, type_name in keys.items():
+            if not _is_json_type(record[key], type_name):
+                raise InputError(f"run record {path} {key} must be {type_name}, "
+                                 f"got {record[key]!r}")
         records[path] = record
     hashes = {r.get("spec_hash") for r in records.values()}
     if spec_hash is not None:

@@ -31,6 +31,9 @@ __all__ = [
     "add_self_loops",
     "sym_normalize",
     "degrees",
+    "row_entries",
+    "within_hops",
+    "induced_block",
 ]
 
 
@@ -189,3 +192,40 @@ def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
         g_tilde.indices.copy(),
         values,
     )
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries of ``rows`` of a CSR matrix with row offsets
+    ``indptr``: their positions in its arrays, row by row and in order
+    within each row, and the row offsets of the matrix of those rows alone."""
+    starts = indptr[rows]
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(indptr[rows + 1] - starts, out=offsets[1:])
+    positions = np.repeat(starts - offsets[:-1], np.diff(offsets)) + np.arange(offsets[-1])
+    return positions, offsets
+
+
+def within_hops(g: _Csr, rows: np.ndarray, hops: int) -> np.ndarray:
+    """The nodes at most ``hops`` steps from ``rows`` along the stored
+    entries of the symmetric ``g``, ascending."""
+    near = np.zeros(g.n_nodes, dtype=bool)
+    near[rows] = True
+    entry_rows = g.row_index_per_entry()
+    for _ in range(hops):
+        near[g.indices[near[entry_rows]]] = True
+    return np.flatnonzero(near)
+
+
+def induced_block(a_hat: NormalizedAdjacency, rows: np.ndarray) -> NormalizedAdjacency:
+    """Rows and columns ``rows`` (ascending, distinct) of ``a_hat``, values
+    unchanged.  Each row keeps, in order, its stored entries whose column is
+    in ``rows``, so a row whose neighbours are all in ``rows`` sums as it
+    does in ``a_hat``.  A principal block of ``a_hat``, it is symmetric with
+    spectral radius <= 1 and keeps every self-loop."""
+    positions, offsets = row_entries(a_hat.indptr, rows)
+    local = np.full(a_hat.n_nodes, -1, dtype=np.int64)
+    local[rows] = np.arange(rows.size)
+    cols = local[a_hat.indices[positions]]
+    kept = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(kept)])[offsets]
+    return NormalizedAdjacency(rows.size, indptr, cols[kept], a_hat.values[positions[kept]])

@@ -36,6 +36,7 @@ __all__ = [
     "smooth_target",
     "ce_smooth",
     "combined_loss",
+    "rows_read",
 ]
 
 VARIANTS = ("cross_entropy", "l2")
@@ -109,3 +110,10 @@ def combined_loss(z: Tensor, y: np.ndarray, a_hat: NormalizedAdjacency, cfg: Los
     if cfg.mu == 0.0:
         return fit(z, y)
     return ad.add(fit(z, y), ad.scale(smooth(z, a_hat), cfg.mu))
+
+
+def rows_read(y: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """The rows of Z that ``combined_loss(z, y, a_hat, cfg)`` reads: the
+    nonzero (labeled) rows of Y, and every row once mu > 0 adds the
+    smoothness term."""
+    return np.arange(y.shape[0]) if cfg.mu > 0 else np.flatnonzero(y.any(axis=1))

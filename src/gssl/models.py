@@ -12,6 +12,13 @@ Every graph model takes the normalized adjacency A_hat: GCN and APPNP
 aggregate through its values, GAT computes its own attention weights
 over its stored entries, which are the self-looped edge structure.
 
+A row of the logits depends only on the nodes within :attr:`Model.hops`
+steps of it, so a pass may compute a :class:`Field` of rows: it gets
+their rows of X and the block of A_hat on them, and its output rows whose
+whole neighbourhood lies in the field are those of the whole graph.
+Dropout draws for the whole graph and keeps the field's draws, so the
+random stream and each row's mask do not depend on the field.
+
 The input X is a dense Tensor or a scipy sparse matrix (the CSR features
 of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
 through ``spmm`` as a constant, so no dense n x d array is built.  Its
@@ -29,6 +36,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +50,7 @@ __all__ = [
     "KINDS",
     "ModelConfig",
     "LayerParams",
+    "Field",
     "Model",
     "glorot_init",
     "init_params",
@@ -93,6 +102,34 @@ class LayerParams:
                 if getattr(self, f.name) is not None]
 
 
+@dataclass(frozen=True, eq=False)
+class Field:
+    """The rows a forward pass computes: ``rows`` (ascending) of an
+    ``n_rows``-node graph.  The pass gets the field's rows of X and the
+    block of A_hat on them, and returns its outputs at ``rows`` of n_rows-row
+    matrices, zero elsewhere.
+
+    Dropout draws for the whole graph and keeps the field's draws, so a run's
+    random stream and each row's mask do not depend on the field.
+    ``x_draws`` = (count, index) are X's: a sparse X draws once per stored
+    value, so count is its nnz and index the positions of the field's values.
+    """
+
+    n_rows: int
+    rows: np.ndarray
+    x_draws: tuple[int, np.ndarray]
+
+    def draws(self, layer: int) -> tuple[int, np.ndarray]:
+        """``ad.dropout``'s ``rows`` for the input of ``layer``."""
+        return self.x_draws if layer == 0 else (self.n_rows, self.rows)
+
+    @cached_property
+    def put_back(self) -> sp.csr_matrix:
+        """The n_rows x len(rows) 0/1 matrix that moves row i to row rows[i]."""
+        k = self.rows.size
+        return sp.csr_matrix((np.ones(k), (self.rows, np.arange(k))), shape=(self.n_rows, k))
+
+
 def glorot_init(d_in: int, d_out: int, seed) -> Tensor:
     """Uniform samples in +-sqrt(6 / (d_in + d_out)), requires_grad on."""
     if d_in < 1 or d_out < 1:
@@ -127,17 +164,18 @@ def _linear(h, weight: Tensor) -> Tensor:
     return ad.spmm(h, weight) if sp.issparse(h) else ad.matmul(h, weight)
 
 
-def _dropout(h, rate: float, rng):
-    """Dropout of a layer input.  A sparse input draws once per stored value
-    (``ad.dropout`` on an nnz x 1 column) and keeps only the entries that
-    survive, as ``sparse_dropout`` (``tf.sparse_retain``) does in Kipf &
-    Welling's reference GCN; at rate 0 it is returned as it is."""
+def _dropout(h, rate: float, rng, rows=None):
+    """Dropout of a layer input, ``ad.dropout``'s ``rows`` passed through.  A
+    sparse input draws once per stored value (``ad.dropout`` on an nnz x 1
+    column) and keeps only the entries that survive, as ``sparse_dropout``
+    (``tf.sparse_retain``) does in Kipf & Welling's reference GCN; at rate 0
+    it is returned as it is."""
     if not sp.issparse(h):
-        return ad.dropout(h, rate, rng)
+        return ad.dropout(h, rate, rng, rows)
     if rate == 0.0:
         return h
     h = h.tocsr()
-    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
+    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng, rows).values[:, 0]
     kept = np.flatnonzero(dropped != 0.0)
     indptr = np.searchsorted(kept, h.indptr).astype(h.indptr.dtype, copy=False)
     return sp.csr_matrix((dropped.take(kept), h.indices.take(kept), indptr), shape=h.shape)
@@ -196,10 +234,13 @@ class Model:
         return cls(cfg, init_params(cfg, d_in, n_classes, seed))
 
     def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
-                return_hidden=False):
+                return_hidden=False, field: Field | None = None):
         """Logits (n x n_classes), and with ``return_hidden`` also the
         penultimate activations; every kind but MLP needs ``a_hat``.
-        ``x`` is a Tensor or a scipy sparse matrix."""
+        ``x`` is a Tensor or a scipy sparse matrix.  With ``field``, ``x``
+        and ``a_hat`` are the field's rows and block, and a row of the output
+        equals the whole graph's when every node within :attr:`hops` steps of
+        it is in the field."""
         cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
         if a_hat is None and cfg.kind != "mlp":
             raise InputError(f"{cfg.kind} forward needs the normalized adjacency a_hat")
@@ -207,13 +248,27 @@ class Model:
         last = len(self.params) - 1
         for l, p in enumerate(self.params):
             if training and l < last:
-                h = _dropout(h, cfg.dropout, rng)
+                h = _dropout(h, cfg.dropout, rng, None if field is None else field.draws(l))
             h = layer(h, p, a_hat, cfg)
             if l < last:
                 h = hidden = ad.relu(h)
         if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
             h = ad.propagate(a_hat.scipy, h, cfg.appnp_alpha, cfg.appnp_k)
+        if field is not None:
+            h = ad.spmm(field.put_back, h)
+            if return_hidden and hidden is not None:
+                hidden = ad.spmm(field.put_back, hidden)
         return (h, hidden) if return_hidden else h
+
+    @property
+    def hops(self) -> int:
+        """How far the forward reads: a row of the logits depends only on
+        the nodes within this many steps of it along A_hat's entries.  Dense
+        layers read their own row, GCN and GAT layers one step further, and
+        APPNP's propagation one step per iteration."""
+        if self.cfg.kind == "mlp":
+            return 0
+        return self.cfg.appnp_k if self.cfg.kind == "appnp" else self.cfg.n_layers
 
     def parameters(self) -> list[Tensor]:
         return [t for p in self.params for _, t in p.named()]

@@ -8,6 +8,14 @@ and returns only floats and the validation logits, so the graph is freed
 when the phase returns.  Between epochs :func:`train` keeps the
 parameters, the Adam moments, the history and the best epoch so far, with
 the logits of its validation pass, from which the test accuracy is read.
+Each pass computes only its field (:meth:`DataContext.field_of`): the
+nodes within :attr:`Model.hops` steps of the rows it reads.  A training
+step reads the labeled rows and a validation pass the validation and test
+rows, unless ``mu > 0``, whose smoothness term reads every row.  The two
+field contexts are built once per run; a field that is every node is the
+whole-graph context itself.  The pass puts its logits back at their rows
+of an n-row matrix, so the losses and the accuracy read what a pass over
+the whole graph gives them, up to BLAS summation order.
 Autodiff ops do not check their outputs for NaN/Inf; instead each epoch
 checks the training loss and every parameter gradient after ``backward``
 and the validation loss after its pass.  The features stay in the dataset's CSR
@@ -26,9 +34,10 @@ from .autodiff import Tensor
 from .data import FeatureMatrix, LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
-from .graph import NormalizedAdjacency, add_self_loops, sym_normalize
-from .losses import LossConfig, combined_loss
-from .models import Model
+from .graph import (NormalizedAdjacency, add_self_loops, induced_block, row_entries,
+                    sym_normalize, within_hops)
+from .losses import LossConfig, combined_loss, rows_read
+from .models import Field, Model
 
 __all__ = [
     "TrainConfig",
@@ -123,12 +132,15 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
 @dataclass
 class DataContext:
     """Everything a forward pass needs, built once per dataset.  ``x`` is
-    the dataset's CSR feature matrix itself, not a dense copy."""
+    the dataset's CSR feature matrix itself, not a dense copy.  The context
+    of a field (:meth:`field_of`) holds the field's rows of X and the block
+    of A_hat on them."""
 
     x: FeatureMatrix
     labels: np.ndarray
     n_classes: int
     a_hat: NormalizedAdjacency
+    field: Field | None = None
 
     @classmethod
     def from_dataset(cls, ds: LabeledDataset) -> "DataContext":
@@ -139,9 +151,24 @@ class DataContext:
             a_hat=sym_normalize(add_self_loops(ds.graph)),
         )
 
+    def field_of(self, rows, hops: int) -> "DataContext":
+        """The context of a pass whose outputs are read at ``rows`` alone,
+        which computes the nodes within ``hops`` steps of them: ``self`` when
+        that is every node.  Its ``a_hat`` is the field's block, so no loss
+        that reads every row may run on it."""
+        rows = within_hops(self.a_hat, np.asarray(rows, dtype=np.int64), hops)
+        n = self.a_hat.n_nodes
+        if rows.size == n:
+            return self
+        positions, indptr = row_entries(self.x.indptr, rows)
+        x = FeatureMatrix((self.x.data[positions], self.x.indices[positions], indptr),
+                          shape=(rows.size, self.x.shape[1]))
+        return DataContext(x, self.labels, self.n_classes, induced_block(self.a_hat, rows),
+                           Field(n, rows, (self.x.nnz, positions)))
+
     def forward(self, model: Model, training=False, rng=None, return_hidden=False):
         return model.forward(self.x, self.a_hat, training=training, rng=rng,
-                             return_hidden=return_hidden)
+                             return_hidden=return_hidden, field=self.field)
 
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
@@ -153,10 +180,10 @@ def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
 
 
 def evaluate(model: Model, ctx: DataContext, indices) -> float:
-    """Fraction of ``indices`` whose logits argmax matches the label.
-    Raises NumericError if any logit is not finite."""
+    """Fraction of ``indices`` whose logits argmax matches the label, from a
+    pass over their field.  Raises NumericError if any logit is not finite."""
     with np.errstate(all="ignore"):
-        logits = ctx.forward(model, training=False)
+        logits = ctx.field_of(indices, model.hops).forward(model, training=False)
     ad.check_finite(logits.values, "logits")
     return accuracy(logits.values, ctx.labels, indices)
 
@@ -206,6 +233,8 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     rng = np.random.default_rng(cfg.seed)
     y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
     y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
+    train_ctx = ctx.field_of(rows_read(y_train, cfg.loss), model.hops)
+    val_ctx = ctx.field_of(np.union1d(rows_read(y_val, cfg.loss), split.test), model.hops)
     state = AdamState(model.parameters())
     history: list[tuple[float, float, float]] = []
     best_loss, best_epoch, best_values, best_logits = np.inf, 0, None, None
@@ -213,8 +242,8 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     for epoch in range(1, cfg.max_epochs + 1):
         try:
             with np.errstate(all="ignore"):
-                train_loss = _train_step(model, ctx, y_train, cfg, state, rng)
-                val_loss, val_acc, logits = _validate(model, ctx, y_val, split, cfg)
+                train_loss = _train_step(model, train_ctx, y_train, cfg, state, rng)
+                val_loss, val_acc, logits = _validate(model, val_ctx, y_val, split, cfg)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}") from err
         history.append((train_loss, val_loss, val_acc))

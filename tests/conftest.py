@@ -1,6 +1,7 @@
-"""Shared builders: random graphs, the barbell graph, toy datasets, the
-dense dataset writer, a Cora-shaped dataset directory, the per-token
-oracle of the ``#sparse`` feature format, the gate for optional
+"""Shared builders: random graphs, the barbell graph, toy datasets, a ring
+graph many hops across, the dense dataset writer, a Cora-shaped dataset
+directory, the per-token oracle of the ``#sparse`` feature format,
+training with every pass over the whole graph, the gate for optional
 real-dataset directories, the dense matrix of a small graph and a guard
 that forbids densifying, the finite-difference gradient check, the
 per-entry concat form of GAT attention, the one-shot form of
@@ -12,6 +13,7 @@ are checked against."""
 
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset
 from gssl.errors import InputError
 from gssl.graph import Graph, NormalizedAdjacency, add_self_loops, from_edge_list, sym_normalize
-from gssl.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from gssl.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DataContext, train
 
 
 def random_pairs(n, p, rng):
@@ -95,6 +97,23 @@ def two_blob_dataset(n_per=16, d=4, seed=0, edge_p=0.35) -> LabeledDataset:
     pairs.append((0, n - 1))  # one cross edge keeps it connected
     graph = from_edge_list(pairs, n)
     return LabeledDataset(graph, features, labels, name="two_blobs")
+
+
+def ring_dataset(n=300, d=30, seed=0) -> LabeledDataset:
+    """A cycle with a few chords, many hops across, sparse features and
+    three classes on three arcs: a few labeled rows have a field far
+    smaller than the graph."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, (i + 1) % n) for i in range(n)] + rng.integers(0, n, size=(n // 30, 2)).tolist()
+    features = scipy.sparse.random(n, d, density=0.1, random_state=rng, format="csr")
+    return LabeledDataset(from_edge_list(pairs, n), features, np.arange(n) * 3 // n, name="ring")
+
+
+def whole_graph_train(model, ctx: DataContext, split, cfg):
+    """Oracle: ``train`` with every pass over the whole graph, as each pass
+    ran before it computed its field: the field of any rows is every node."""
+    with mock.patch.object(DataContext, "field_of", lambda self, rows, hops: self):
+        return train(model, ctx, split, cfg)
 
 
 def planted_partition(n_per=50, k=3, p_in=0.10, p_out=0.008, d=8, sep=1.2,
@@ -233,11 +252,11 @@ def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
     return np.einsum("ec,ec->e", g[adj.row_index_per_entry()], h[adj.indices])[:, None]
 
 
-def explicit_zero_dropout(h, rate: float, rng):
+def explicit_zero_dropout(h, rate: float, rng, rows=None):
     """Oracle: sparse input dropout that keeps X's pattern and stores each
     dropped value as an explicit zero, drawing as ``models._dropout`` does."""
     h = h.tocsr()
-    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng).values[:, 0]
+    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng, rows).values[:, 0]
     return scipy.sparse.csr_matrix((dropped, h.indices, h.indptr), shape=h.shape)
 
 

@@ -118,6 +118,18 @@ def test_dropout_node_keeps_a_one_byte_mask():
     assert retained <= n * d + 4096, f"dropout node retains {retained} bytes"
 
 
+def test_dropout_of_some_rows_keeps_their_draws_of_the_whole_input():
+    x = leaf(np.random.default_rng(6).normal(size=(30, 4)))
+    idx = np.array([2, 3, 11, 29])
+    whole_rng, part_rng = np.random.default_rng(7), np.random.default_rng(7)
+    whole = ad.dropout(x, 0.5, whole_rng)
+    part = ad.dropout(leaf(x.values[idx]), 0.5, part_rng, rows=(30, idx))
+    assert part.values.tobytes() == whole.values[idx].tobytes()
+    assert whole_rng.bit_generator.state == part_rng.bit_generator.state
+    with pytest.raises(InputError):
+        ad.dropout(leaf(x.values[idx]), 0.5, 0, rows=(30, idx[:3]))
+
+
 def test_dropout_needs_rng_when_training():
     with pytest.raises(InputError):
         ad.dropout(leaf(np.ones((2, 2))), 0.5)

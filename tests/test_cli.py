@@ -369,15 +369,22 @@ def test_a_failed_rerun_leaves_no_earlier_output(tmp_path, capsys):
     (lambda r: {}, "lacks dataset, kind, regularized, ell, n_layers, mu, seed, test_acc"),
     (lambda r: {k: v for k, v in r.items() if k != "mu"}, "lacks mu"),
     (lambda r: {k: v for k, v in r.items() if k != "val_acc_best"}, "lacks val_acc_best"),
-], ids=["list", "empty-object", "no-mu", "ok-without-val-acc"])
+    (lambda r: dict(r, test_acc=None), "test_acc must be float, got None"),
+    (lambda r: dict(r, mu="x"), "mu must be float, got 'x'"),
+    (lambda r: dict(r, seed="0"), "seed must be int, got '0'"),
+    (lambda r: dict(r, regularized="no"), "regularized must be bool, got 'no'"),
+    (lambda r: dict(r, val_acc_best=[1]), "val_acc_best must be float, got [1]"),
+    (lambda r: dict(r, n_layers=2.5), "n_layers must be int, got 2.5"),
+], ids=["list", "empty-object", "no-mu", "ok-without-val-acc", "null-test-acc", "str-mu",
+        "str-seed", "str-regularized", "list-val-acc", "float-n-layers"])
 def test_a_run_record_that_is_not_one_is_input_error_exit_2(tmp_path, capsys, edit, named):
     data_dir, _ = write_blobs(tmp_path, n_per=16, seed=9)
-    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)], n_splits=1)
+    spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)], n_splits=2)
     run_experiment(spec, log=quiet)
     record = next((tmp_path / "out" / "runs").iterdir())
     record.write_text(json.dumps(edit(json.loads(record.read_text(encoding="utf-8")))),
                       encoding="utf-8")
-    with pytest.raises(InputError, match=f"{re.escape(record.name)} {named}"):
+    with pytest.raises(InputError, match=re.escape(f"{record.name} {named}")):
         aggregate_runs(record.parent)
     assert main(["run", "--spec", spec_file(spec, tmp_path / "spec.json")]) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from gssl.data import read_edge_list
 from gssl.errors import InputError
-from gssl.graph import add_self_loops, degrees, from_edge_list, sym_normalize
+from gssl.graph import (add_self_loops, degrees, from_edge_list, induced_block, row_entries,
+                        sym_normalize, within_hops)
 
 from conftest import dense, normalized, random_graph, random_pairs
 
@@ -177,3 +178,34 @@ def test_graph_arrays_immutable():
     g = from_edge_list([(0, 1)], 2)
     with pytest.raises(ValueError):
         g.values[0] = 2.0
+
+
+@pytest.mark.parametrize("hops", [0, 1, 2, 5])
+def test_within_hops_is_the_reach_of_the_matrix_power(hops):
+    a_hat = normalized(random_graph(60, 0.04, seed=6))
+    rows = np.array([3, 17, 40])
+    reach = np.linalg.matrix_power(dense(a_hat) > 0, hops)[rows].any(axis=0)
+    assert np.array_equal(within_hops(a_hat, rows, hops), np.flatnonzero(reach))
+
+
+def test_induced_block_is_the_dense_block_with_each_row_in_order():
+    a_hat = normalized(random_graph(60, 0.1, seed=7))
+    rows = np.flatnonzero(np.random.default_rng(8).random(60) < 0.4)
+    block = induced_block(a_hat, rows)
+    assert block.n_nodes == rows.size and block.has_all_self_loops
+    assert dense(block).tobytes() == dense(a_hat)[np.ix_(rows, rows)].tobytes()
+    for i, v in enumerate(rows):  # the entries of row v kept, in a_hat's order
+        entries = slice(a_hat.indptr[v], a_hat.indptr[v + 1])
+        kept = np.isin(a_hat.indices[entries], rows)
+        assert np.array_equal(rows[block.indices[block.indptr[i]:block.indptr[i + 1]]],
+                              a_hat.indices[entries][kept])
+        assert np.array_equal(block.values[block.indptr[i]:block.indptr[i + 1]],
+                              a_hat.values[entries][kept])
+
+
+def test_row_entries_are_the_rows_of_the_csr():
+    m = normalized(random_graph(40, 0.2, seed=9)).scipy
+    rows = np.array([0, 5, 6, 39])
+    positions, indptr = row_entries(m.indptr, rows)
+    sub = type(m)((m.data[positions], m.indices[positions], indptr), shape=(4, 40))
+    assert (sub != m[rows]).nnz == 0 and np.array_equal(indptr, m[rows].indptr)

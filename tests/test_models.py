@@ -318,9 +318,9 @@ def spy_products(monkeypatch):
         left.append(mat)
         return spmm(mat, b)
 
-    def spy_dropout(a, rate, rng=None):
+    def spy_dropout(a, rate, rng=None, rows=None):
         dropout_shapes.append(a.shape)
-        return dropout(a, rate, rng)
+        return dropout(a, rate, rng, rows)
 
     monkeypatch.setattr(ad, "spmm", spy_spmm)
     monkeypatch.setattr(ad, "dropout", spy_dropout)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import tracemalloc
 
@@ -18,8 +19,8 @@ from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
                           adam_step, evaluate, train)
 
-from conftest import (explicit_zero_dropout, textbook_adam_step, two_blob_dataset,
-                      write_cora_shaped)
+from conftest import (explicit_zero_dropout, ring_dataset, textbook_adam_step, two_blob_dataset,
+                      whole_graph_train, write_cora_shaped)
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
@@ -199,8 +200,8 @@ def test_step_with_dropped_entries_removed_matches_explicit_zeros(monkeypatch, k
 
     loss, params = step()
     dropout = gssl.models._dropout
-    monkeypatch.setattr(gssl.models, "_dropout", lambda h, rate, rng: (
-        explicit_zero_dropout(h, rate, rng) if sp.issparse(h) else dropout(h, rate, rng)))
+    monkeypatch.setattr(gssl.models, "_dropout", lambda h, rate, rng, rows=None: (
+        explicit_zero_dropout if sp.issparse(h) else dropout)(h, rate, rng, rows))
     oracle_loss, oracle_params = step()
     assert loss == oracle_loss
     assert [p.tobytes() for p in params] == [p.tobytes() for p in oracle_params]
@@ -390,6 +391,105 @@ def test_test_accuracy_is_the_restored_parameters_accuracy():
     cfg = TrainConfig(max_epochs=30, patience=5, seed=9, loss=LossConfig(mu=0.5))
     report = train(model, ctx, split, cfg)
     assert report.test_acc == evaluate(model, ctx, split.test)
+
+
+# ------------------------------------------------------------------ fields
+
+def ring_run(kind, n_layers, mu=0.0, appnp_k=3):
+    ds = ring_dataset(seed=20)
+    split = make_splits(ds, 2, 1, 21, val_size=10, test_size=10)[0]
+    cfg = ModelConfig(kind=kind, n_layers=n_layers, hidden_dim=8, dropout=0.5, appnp_k=appnp_k)
+    return (DataContext.from_dataset(ds), split, lambda: Model.init(cfg, ds.n_features, 3, seed=22),
+            TrainConfig(max_epochs=30, patience=10, seed=23, loss=LossConfig(mu=mu)))
+
+
+def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
+    ctx, split, new_model, _ = ring_run("gcn", 3)
+    model = new_model()
+    field = ctx.field_of(split.train, model.hops)
+    rows, positions = field.field.rows, field.field.x_draws[1]
+    assert 0 < rows.size < ctx.labels.size
+    masks, dropped_x = [], []
+    dropout, sparse_dropout = ad.dropout, gssl.models._dropout
+
+    def spy(a, rate, rng=None, rows=None):
+        masks.append(dropout(Tensor(np.ones(a.shape)), rate, copy.deepcopy(rng), rows).values)
+        return dropout(a, rate, rng, rows)
+
+    def spy_sparse(h, rate, rng, rows=None):
+        out = sparse_dropout(h, rate, rng, rows)
+        if sp.issparse(out):
+            dropped_x.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "dropout", spy)
+    monkeypatch.setattr(gssl.models, "_dropout", spy_sparse)
+    rngs = [np.random.default_rng(24), np.random.default_rng(24)]
+    ctx.forward(model, training=True, rng=rngs[0])
+    field.forward(model, training=True, rng=rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    whole_x, field_x = dropped_x
+    for name in ("data", "indices", "indptr"):
+        assert getattr(whole_x[rows], name).tobytes() == getattr(field_x, name).tobytes()
+    # X and the hidden input of layer 1; the output layer drops nothing
+    whole_x_mask, whole_hidden, field_x_mask, field_hidden = masks
+    assert whole_hidden.shape == (ctx.labels.size, 8)
+    assert whole_x_mask[positions].tobytes() == field_x_mask.tobytes()
+    assert whole_hidden[rows].tobytes() == field_hidden.tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_training_on_fields_matches_the_whole_graph(kind, n_layers):
+    ctx, split, new_model, cfg = ring_run(kind, n_layers)
+    model, oracle = new_model(), new_model()
+    for readers in (split.train, np.union1d(split.val, split.test)):
+        assert ctx.field_of(readers, model.hops).field.rows.size < ctx.labels.size
+    report = train(model, ctx, split, cfg)
+    expected = whole_graph_train(oracle, ctx, split, cfg)
+    assert (report.best_epoch, report.epochs_run, report.test_acc) == (
+        expected.best_epoch, expected.epochs_run, expected.test_acc)
+    # Tolerance of float64 summation order, fixed before the test was run:
+    # BLAS may block a product of fewer rows differently.
+    history, expected_history = np.array(report.history), np.array(expected.history)
+    np.testing.assert_allclose(history, expected_history, rtol=1e-10,
+                               atol=1e-12 * np.abs(expected_history).max())
+    for p, q in zip(model.parameters(), oracle.parameters(), strict=True):
+        np.testing.assert_allclose(p.values, q.values, rtol=1e-10,
+                                   atol=1e-12 * np.abs(q.values).max())
+    assert evaluate(model, ctx, split.test) == report.test_acc
+
+
+def assert_whole_graph_run(monkeypatch, kind, mu, appnp_k=3):
+    """Every pass of the run is over the whole graph, and its record and
+    parameters are the oracle's, bit for bit."""
+    ctx, split, new_model, cfg = ring_run(kind, 2, mu=mu, appnp_k=appnp_k)
+    contexts, forward = [], DataContext.forward
+
+    def spy(c, model, training=False, rng=None, return_hidden=False):
+        contexts.append(c)
+        return forward(c, model, training, rng, return_hidden)
+
+    monkeypatch.setattr(DataContext, "forward", spy)
+    model, oracle = new_model(), new_model()
+    report = train(model, ctx, split, cfg)
+    assert contexts and all(c is ctx for c in contexts)
+    assert report == whole_graph_train(oracle, ctx, split, cfg)
+    assert ([p.values.tobytes() for p in model.parameters()]
+            == [p.values.tobytes() for p in oracle.parameters()])
+
+
+def test_a_regularized_run_computes_every_node(monkeypatch):
+    # the smoothness term reads every row
+    assert_whole_graph_run(monkeypatch, "gcn", mu=0.5)
+
+
+def test_an_appnp_whose_propagation_reaches_every_node_computes_every_node(monkeypatch):
+    ctx, split, new_model, _ = ring_run("appnp", 2)
+    k = 1
+    while ctx.field_of(split.train, k).field is not None:
+        k += 1
+    assert_whole_graph_run(monkeypatch, "appnp", mu=0.0, appnp_k=k)
 
 
 # ---------------------------------------------------------------- evaluate
