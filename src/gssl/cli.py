@@ -144,6 +144,14 @@ class ExperimentSpec:
         for name in ("ell", "layer_counts", "mu_grid"):
             if not getattr(self, name):
                 raise InputError(f"{name} must not be empty")
+        # A run record is named by model label, ell, layer count and mu as
+        # {:g} writes it: a repeated entry would overwrite another's record.
+        for name, keys in (("models", [m.label for m in self.models]), ("ell", self.ell),
+                           ("layer_counts", self.layer_counts),
+                           ("mu_grid", [f"{mu:g}" for mu in self.mu_grid])):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise InputError(f"{name} repeats {key}; each entry names its own run records")
         if min(self.ell) < 1:
             raise InputError("ell must be >= 1")
         if self.val_size < 1 or self.test_size < 1:

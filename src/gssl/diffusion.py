@@ -107,20 +107,16 @@ def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     return z
 
 
-def diffuse_iterative(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig,
-                      z0=None) -> DiffusionResult:
+def diffuse_iterative(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> DiffusionResult:
     """Fixed-point iteration Z <- (1-gamma) A_hat Z + gamma Y from Z = Y.
 
     Stops when the max-abs elementwise change drops below ``cfg.tol``.
     Non-convergence within ``cfg.max_iter`` is reported as a warning
-    carrying the final residual, not an exception; the fixed point does
-    not depend on the start, so ``z0`` may override the default Y start.
+    carrying the final residual, not an exception.
     """
     y = _check_inputs(a_hat, y)
     gamma = cfg.gamma
-    z = y.copy() if z0 is None else np.asarray(z0, dtype=np.float64).copy()
-    if z.shape != y.shape:
-        raise InputError(f"z0 shape {z.shape} != label matrix shape {y.shape}")
+    z = y
     mat = a_hat.scipy
     gy = gamma * y
     residual = np.inf

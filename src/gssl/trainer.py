@@ -8,14 +8,17 @@ and returns only floats and the validation logits, so the graph is freed
 when the phase returns.  Between epochs :func:`train` keeps the
 parameters, the Adam moments, the history and the best epoch so far, with
 the logits of its validation pass, from which the test accuracy is read.
-Each pass computes only its field (:meth:`DataContext.field_of`): the
-nodes within :attr:`Model.hops` steps of the rows it reads.  A training
-step reads the labeled rows and a validation pass the validation and test
-rows, unless ``mu > 0``, whose smoothness term reads every row.  The two
-field contexts are built once per run; a field that is every node is the
-whole-graph context itself.  The pass puts its logits back at their rows
-of an n-row matrix, so the losses and the accuracy read what a pass over
-the whole graph gives them, up to BLAS summation order.
+Every run stops on its validation fit loss: the smoothness term is a
+training regularizer, so a validation pass scores the fit alone.  Each
+pass computes only its field (:meth:`DataContext.field_of`): the nodes
+within :attr:`Model.hops` steps of the rows it reads.  A training step
+reads the labeled rows, or every row once ``mu > 0`` adds the smoothness
+term; a validation pass reads the validation and test rows whatever
+``mu`` is.  The two field contexts are built once per run; a field that
+is every node is the whole-graph context itself.  The pass puts its
+logits back at their rows of an n-row matrix, so the losses and the
+accuracy read what a pass over the whole graph gives them, up to BLAS
+summation order.
 Autodiff ops do not check their outputs for NaN/Inf; instead each epoch
 checks the training loss and every parameter gradient after ``backward``
 and the validation loss after its pass.  The features stay in the dataset's CSR
@@ -25,7 +28,7 @@ through ``spmm``, and its dropout removes the dropped entries from the CSR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +50,6 @@ __all__ = [
     "adam_step",
     "DataContext",
     "train",
-    "evaluate",
     "accuracy",
 ]
 
@@ -179,15 +181,6 @@ def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
     return float(np.mean(pred == labels[indices]))
 
 
-def evaluate(model: Model, ctx: DataContext, indices) -> float:
-    """Fraction of ``indices`` whose logits argmax matches the label, from a
-    pass over their field.  Raises NumericError if any logit is not finite."""
-    with np.errstate(all="ignore"):
-        logits = ctx.field_of(indices, model.hops).forward(model, training=False)
-    ad.check_finite(logits.values, "logits")
-    return accuracy(logits.values, ctx.labels, indices)
-
-
 def _train_step(model: Model, ctx: DataContext, y_train: np.ndarray, cfg: TrainConfig,
                 state: AdamState, rng) -> float:
     """One Adam step on the combined loss with dropout on; the loss value.
@@ -207,10 +200,10 @@ def _train_step(model: Model, ctx: DataContext, y_train: np.ndarray, cfg: TrainC
 
 def _validate(model: Model, ctx: DataContext, y_val: np.ndarray, split: Split,
               cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """Validation loss, accuracy and logits with dropout off.  A non-finite
-    loss raises NumericError."""
+    """Validation fit loss (the combined loss at mu 0), accuracy and logits
+    with dropout off.  A non-finite loss raises NumericError."""
     logits = ctx.forward(model, training=False)
-    loss = combined_loss(ad.row_softmax(logits), y_val, ctx.a_hat, cfg.loss)
+    loss = combined_loss(ad.row_softmax(logits), y_val, ctx.a_hat, replace(cfg.loss, mu=0.0))
     ad.check_finite(loss.values, "validation loss")
     return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, split.val), logits.values
 
@@ -223,8 +216,8 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     than the best seen).  Parameters are restored from the best epoch, and
     the test accuracy is read from that epoch's validation logits, which
     were computed from the same parameters.  The validation loss is the
-    full training objective (fitness on the validation nodes plus the
-    weighted smoothness term).
+    fit loss on the validation nodes for every ``mu``: the smoothness term
+    only regularizes training.
 
     Each epoch runs with numpy's floating-point warnings off and checks the
     training loss, every parameter gradient and the validation loss; a
@@ -234,7 +227,7 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
     y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
     train_ctx = ctx.field_of(rows_read(y_train, cfg.loss), model.hops)
-    val_ctx = ctx.field_of(np.union1d(rows_read(y_val, cfg.loss), split.test), model.hops)
+    val_ctx = ctx.field_of(np.union1d(split.val, split.test), model.hops)
     state = AdamState(model.parameters())
     history: list[tuple[float, float, float]] = []
     best_loss, best_epoch, best_values, best_logits = np.inf, 0, None, None

@@ -1,7 +1,8 @@
-"""Shared builders: random graphs, the barbell graph, toy datasets, a ring
-graph many hops across, the dense dataset writer, a Cora-shaped dataset
-directory, the per-token oracle of the ``#sparse`` feature format,
-training with every pass over the whole graph, the gate for optional
+"""Shared helpers: random graphs, a Pubmed-sized graph, the barbell
+graph, toy datasets, a ring graph many hops across, the dense dataset
+writer, a Cora-shaped dataset directory, the per-token oracle of the
+``#sparse`` feature format, training with every pass over the whole
+graph, the accuracy of a fresh whole-graph pass, the gate for optional
 real-dataset directories, the dense matrix of a small graph and a guard
 that forbids densifying, the finite-difference gradient check, the
 per-entry concat form of GAT attention, the one-shot form of
@@ -25,7 +26,7 @@ from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset
 from gssl.errors import InputError
 from gssl.graph import Graph, NormalizedAdjacency, add_self_loops, from_edge_list, sym_normalize
-from gssl.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DataContext, train
+from gssl.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DataContext, accuracy, train
 
 
 def random_pairs(n, p, rng):
@@ -45,6 +46,16 @@ def random_connected_graph(n, seed, extra_p=0.1) -> Graph:
     pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
     pairs += random_pairs(n, extra_p, rng)
     return from_edge_list(pairs, n)
+
+
+def pubmed_shaped_graph(seed=0, n=19_717, m=44_338) -> Graph:
+    """A random spanning tree plus uniformly drawn pairs: Pubmed's node count
+    and about its undirected edge count, with no pair list of all n^2 pairs."""
+    rng = np.random.default_rng(seed)
+    children = np.arange(1, n)
+    tree = np.column_stack([rng.integers(0, children), children])
+    extra = rng.integers(0, n, size=(m - (n - 1), 2))
+    return from_edge_list(np.concatenate([tree, extra[extra[:, 0] != extra[:, 1]]]), n)
 
 
 def normalized(g: Graph):
@@ -114,6 +125,13 @@ def whole_graph_train(model, ctx: DataContext, split, cfg):
     ran before it computed its field: the field of any rows is every node."""
     with mock.patch.object(DataContext, "field_of", lambda self, rows, hops: self):
         return train(model, ctx, split, cfg)
+
+
+def evaluate(model, ctx: DataContext, indices) -> float:
+    """Oracle: the accuracy at ``indices`` of a fresh pass over the whole
+    graph with dropout off, independent of the validation logits ``train``
+    reads its test accuracy from."""
+    return accuracy(ctx.forward(model, training=False).values, ctx.labels, indices)
 
 
 def planted_partition(n_per=50, k=3, p_in=0.10, p_out=0.008, d=8, sep=1.2,

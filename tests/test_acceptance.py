@@ -24,8 +24,9 @@ from gssl.losses import LossConfig, ce_fit, ce_smooth, combined_loss
 from gssl.models import Model, ModelConfig, gat_attention, hidden_embedding
 
 from conftest import (barbell_graph, dataset_present, dataset_root, dense, finite_difference_check,
-                      minimize_objective, normalized, random_connected_graph, random_graph,
-                      regularization_objective, save_dataset, two_blob_dataset)
+                      forbid_densifying, minimize_objective, normalized, pubmed_shaped_graph,
+                      random_connected_graph, random_graph, regularization_objective,
+                      save_dataset, two_blob_dataset)
 
 FD_TOL = 1e-4
 
@@ -76,6 +77,24 @@ def test_criterion_1_solver_equivalence():
     assert worst < 1e-7, f"max solver disagreement {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s (limit 10s)"
     return f"max abs disagreement {worst:.2e} over 20 graphs x 5 gammas in {elapsed:.1f}s"
+
+
+@criterion(1, "solver equivalence at Pubmed size")
+def test_criterion_1_at_pubmed_size(monkeypatch):
+    # Pubmed's counts: 19,717 nodes, about 44k edges, 3 classes, 20 labels each
+    forbid_densifying(monkeypatch, "a diffusion solver")
+    a_hat = normalized(pubmed_shaped_graph(seed=7))
+    labels = np.random.default_rng(7).permutation(np.arange(a_hat.n_nodes) % 3)
+    y = label_matrix(labels, np.concatenate([np.flatnonzero(labels == c)[:20] for c in range(3)]))
+    tol, report = 1e-10, []
+    for gamma in (0.2, 0.5, 0.9):
+        direct = diffuse_direct(a_hat, y, gamma)
+        res = diffuse_iterative(a_hat, y, DiffusionConfig(gamma=gamma, tol=tol))
+        # the iteration stops within tol (1 - gamma) / gamma of its fixed point
+        err, bound = float(np.abs(direct - res.z).max()), tol * (1 - gamma) / gamma
+        assert err <= bound, f"gamma {gamma}: max disagreement {err:.2e} above {bound:.2e}"
+        report.append(f"gamma {gamma}: {err:.1e} <= {bound:.1e}")
+    return "; ".join(report)
 
 
 @criterion(2, "loss minimum equals diffusion solution")

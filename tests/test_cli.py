@@ -457,12 +457,22 @@ def test_python_dash_m_gssl_runs_the_cli(tmp_path):
     ('{"dataset": "d", "models": [{"kind": "sage"}]}', "unknown model kind 'sage'"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "workers": 0}', "workers must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "base_seed": -1}', "seed must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [0.1, 0.1000001]}',
+     "mu_grid repeats 0.1"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [0.5, 0.5]}',
+     "mu_grid repeats 0.5"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "ell": [5, 5]}', "ell repeats 5"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "layer_counts": [2, 2]}',
+     "layer_counts repeats 2"),
+    ('{"dataset": "d", "models": [{"kind": "gcn", "regularized": true}, {"kind": "mlp"}, '
+     '{"kind": "gcn", "regularized": true}]}', "models repeats R-GCN"),
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
         "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
         "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
         "negative-mu", "nan-mu", "val-size-zero", "test-size-zero", "ell-zero", "ell-negative",
-        "unknown-kind", "workers-zero", "base-seed-negative"])
+        "unknown-kind", "workers-zero", "base-seed-negative", "mu-alike-in-records",
+        "mu-repeated", "ell-repeated", "layer-counts-repeated", "model-repeated"])
 def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
     def no_load(*args):
         raise AssertionError("a bad spec reached the dataset loader")

@@ -12,15 +12,15 @@ import gssl.trainer
 from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset, load_dataset, make_splits, row_normalize_features
 from gssl.diffusion import label_matrix
-from gssl.errors import InputError, NumericError
+from gssl.errors import InputError
 from gssl.graph import from_edge_list
-from gssl.losses import LossConfig
+from gssl.losses import LossConfig, combined_loss
 from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
-                          adam_step, evaluate, train)
+                          adam_step, train)
 
-from conftest import (explicit_zero_dropout, ring_dataset, textbook_adam_step, two_blob_dataset,
-                      whole_graph_train, write_cora_shaped)
+from conftest import (evaluate, explicit_zero_dropout, ring_dataset, textbook_adam_step,
+                      two_blob_dataset, whole_graph_train, write_cora_shaped)
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
@@ -295,24 +295,49 @@ def test_gat_epoch_builds_no_per_entry_feature_matrix(monkeypatch):
     assert not [s for s in shapes if s[0] == nnz and s[1] > 1]
 
 
-def test_train_restores_best_epoch_parameters():
+def train_and_restored_fit_loss(mu):
+    """A GCN run at ``mu``, its history and the validation fit loss (the
+    combined loss at mu 0) of a fresh pass of the restored parameters."""
     ctx = make_ctx(seed=2)
     split = small_split(two_blob_dataset(n_per=16, seed=2), seed=1)
     model = Model.init(ModelConfig(kind="gcn", n_layers=2, hidden_dim=8), 4, 2, seed=3)
-    cfg = TrainConfig(max_epochs=40, patience=5, seed=3, loss=LossConfig(mu=0.0))
+    cfg = TrainConfig(max_epochs=40, patience=5, seed=3, loss=LossConfig(mu=mu))
     report = train(model, ctx, split, cfg)
-    assert report.best_epoch <= report.epochs_run <= cfg.max_epochs
-    monitored = [h[1] for h in report.history]
+    logits = ctx.forward(model, training=False)
+    val_fit = combined_loss(ad.row_softmax(logits), label_matrix(ctx.labels, split.val, 2),
+                            ctx.a_hat, LossConfig(mu=0.0)).values[0, 0]
+    return report, [h[1] for h in report.history], val_fit
+
+
+def test_train_restores_best_epoch_parameters():
+    report, monitored, val_fit = train_and_restored_fit_loss(mu=0.0)
+    assert report.best_epoch <= report.epochs_run <= 40
     assert monitored[report.best_epoch - 1] == min(monitored)
     # the restored parameters reproduce the best epoch's validation loss
-    from gssl.autodiff import row_softmax
-    from gssl.diffusion import label_matrix
-    from gssl.losses import combined_loss
+    assert np.isclose(val_fit, monitored[report.best_epoch - 1], rtol=1e-12)
 
-    logits = ctx.forward(model, training=False)
-    val_loss = combined_loss(row_softmax(logits), label_matrix(ctx.labels, split.val, 2),
-                             ctx.a_hat, cfg.loss).values[0, 0]
-    assert np.isclose(val_loss, monitored[report.best_epoch - 1], rtol=1e-12)
+
+def test_a_regularized_run_stops_on_its_validation_fit_loss():
+    # the smoothness term regularizes training only: the loss a run stops and
+    # restores on is the fit loss on the validation rows
+    report, monitored, val_fit = train_and_restored_fit_loss(mu=0.5)
+    assert monitored[report.best_epoch - 1] == min(monitored)
+    assert np.isclose(val_fit, monitored[report.best_epoch - 1], rtol=1e-12, atol=0.0)
+
+
+def test_both_passes_go_through_combined_loss_and_validation_at_mu_0(monkeypatch):
+    mus, combined = [], gssl.trainer.combined_loss
+
+    def spy(z, y, a_hat, cfg):
+        mus.append(cfg.mu)
+        return combined(z, y, a_hat, cfg)
+
+    monkeypatch.setattr(gssl.trainer, "combined_loss", spy)
+    ctx = make_ctx(seed=2)
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), 4, 2, seed=3)
+    train(model, ctx, small_split(two_blob_dataset(n_per=16, seed=2)),
+          TrainConfig(max_epochs=3, patience=3, loss=LossConfig(mu=0.5)))
+    assert mus == [0.5, 0.0] * 3  # per epoch: the training step, then validation
 
 
 def test_the_restored_model_keeps_no_gradient():
@@ -438,13 +463,9 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     assert whole_hidden[rows].tobytes() == field_hidden.tobytes()
 
 
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
-def test_training_on_fields_matches_the_whole_graph(kind, n_layers):
-    ctx, split, new_model, cfg = ring_run(kind, n_layers)
-    model, oracle = new_model(), new_model()
-    for readers in (split.train, np.union1d(split.val, split.test)):
-        assert ctx.field_of(readers, model.hops).field.rows.size < ctx.labels.size
+def assert_matches_the_whole_graph(model, oracle, ctx, split, cfg):
+    """``train`` gives ``whole_graph_train``'s record and parameters up to
+    float64 summation order; the report."""
     report = train(model, ctx, split, cfg)
     expected = whole_graph_train(oracle, ctx, split, cfg)
     assert (report.best_epoch, report.epochs_run, report.test_acc) == (
@@ -458,6 +479,17 @@ def test_training_on_fields_matches_the_whole_graph(kind, n_layers):
         np.testing.assert_allclose(p.values, q.values, rtol=1e-10,
                                    atol=1e-12 * np.abs(q.values).max())
     assert evaluate(model, ctx, split.test) == report.test_acc
+    return report
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_training_on_fields_matches_the_whole_graph(kind, n_layers):
+    ctx, split, new_model, cfg = ring_run(kind, n_layers)
+    model, oracle = new_model(), new_model()
+    for readers in (split.train, np.union1d(split.val, split.test)):
+        assert ctx.field_of(readers, model.hops).field.rows.size < ctx.labels.size
+    assert_matches_the_whole_graph(model, oracle, ctx, split, cfg)
 
 
 def assert_whole_graph_run(monkeypatch, kind, mu, appnp_k=3):
@@ -479,9 +511,26 @@ def assert_whole_graph_run(monkeypatch, kind, mu, appnp_k=3):
             == [p.values.tobytes() for p in oracle.parameters()])
 
 
-def test_a_regularized_run_computes_every_node(monkeypatch):
-    # the smoothness term reads every row
-    assert_whole_graph_run(monkeypatch, "gcn", mu=0.5)
+@pytest.mark.parametrize("kind", ["mlp", "gcn"])
+def test_a_regularized_run_trains_on_every_node_and_validates_on_its_field(monkeypatch, kind):
+    # the smoothness term reads every row; the validation fit loss and the
+    # test accuracy read the validation and test rows alone
+    ctx, split, new_model, cfg = ring_run(kind, 2, mu=0.5)
+    model, oracle = new_model(), new_model()
+    val_rows = ctx.field_of(np.union1d(split.val, split.test), model.hops).field.rows
+    assert val_rows.size < ctx.labels.size
+    passes, forward = [], DataContext.forward
+
+    def spy(c, model, training=False, rng=None, return_hidden=False):
+        passes.append((training, c))
+        return forward(c, model, training, rng, return_hidden)
+
+    monkeypatch.setattr(DataContext, "forward", spy)
+    report = assert_matches_the_whole_graph(model, oracle, ctx, split, cfg)
+    run = passes[:2 * report.epochs_run]  # the oracle's passes follow
+    assert [training for training, _ in run] == [True, False] * report.epochs_run
+    assert all(c is ctx for training, c in run if training)
+    assert all(c.field.rows.tobytes() == val_rows.tobytes() for training, c in run if not training)
 
 
 def test_an_appnp_whose_propagation_reaches_every_node_computes_every_node(monkeypatch):
@@ -492,16 +541,7 @@ def test_an_appnp_whose_propagation_reaches_every_node_computes_every_node(monke
     assert_whole_graph_run(monkeypatch, "appnp", mu=0.0, appnp_k=k)
 
 
-# ---------------------------------------------------------------- evaluate
-
-def test_evaluate_rejects_non_finite_logits():
-    ctx = make_ctx(seed=10)
-    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=8), 4, 2, seed=10)
-    for w in model.parameters()[::2]:
-        w.values = np.full(w.shape, 1e200)
-    with pytest.raises(NumericError, match="non-finite logits"):
-        evaluate(model, ctx, np.arange(4))
-
+# ---------------------------------------------------------------- accuracy
 
 def test_accuracy_perfect_and_constant():
     labels = np.array([0, 1, 0, 1])
@@ -514,13 +554,6 @@ def test_accuracy_perfect_and_constant():
 def test_accuracy_rejects_empty_index_set():
     with pytest.raises(InputError):
         accuracy(np.eye(2), np.array([0, 1]), [])
-
-
-def test_evaluate_in_unit_interval():
-    ctx = make_ctx(seed=7)
-    model = Model.init(ModelConfig(kind="appnp", n_layers=2, hidden_dim=8), 4, 2, seed=9)
-    acc = evaluate(model, ctx, np.arange(ctx.labels.shape[0]))
-    assert 0.0 <= acc <= 1.0
 
 
 def test_train_config_validation():
