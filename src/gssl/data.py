@@ -92,9 +92,13 @@ class LabeledDataset:
             raise InputError(f"label count ({self.labels.shape[0]}) != graph nodes ({n})")
         if self.labels.min() < 0:
             raise InputError("negative class id")
+        top = int(self.labels.max())
+        if top >= n:  # c classes that each hold a node need c <= n
+            raise InputError(f"class id {top} needs {top + 1} classes, more than {n} nodes can hold")
         missing = np.flatnonzero(np.bincount(self.labels) == 0)
         if missing.size:
-            raise InputError(f"classes {missing.tolist()} have no nodes")
+            shown = ", ".join(map(str, missing[:5])) + (", ..." if missing.size > 5 else "")
+            raise InputError(f"classes [{shown}] have no nodes ({missing.size} in all)")
         for arr in (self.features.data, self.features.indices, self.features.indptr):
             arr.setflags(write=False)
         self.labels.setflags(write=False)

@@ -98,7 +98,7 @@ def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     y = _check_inputs(a_hat, y)
-    system = sp.identity(a_hat.n_nodes, format="csr") - (1.0 - gamma) * a_hat.scipy
+    system = sp.identity(a_hat.n_nodes, format="csr") - (1.0 - gamma) * a_hat
     z = np.empty_like(y)
     for k in range(y.shape[1]):
         z[:, k], info = cg(system, gamma * y[:, k], rtol=1e-12, atol=0.0)
@@ -117,11 +117,10 @@ def diffuse_iterative(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> Di
     y = _check_inputs(a_hat, y)
     gamma = cfg.gamma
     z = y
-    mat = a_hat.scipy
     gy = gamma * y
     residual = np.inf
     for it in range(1, cfg.max_iter + 1):
-        z_next = (1.0 - gamma) * (mat @ z) + gy
+        z_next = (1.0 - gamma) * (a_hat @ z) + gy
         residual = float(np.abs(z_next - z).max())
         z = z_next
         if residual < cfg.tol:

@@ -1,7 +1,10 @@
 """Sparse undirected graph storage and the normalized adjacency operator.
 
-Graphs are stored in compressed sparse row (CSR) form and are immutable
-after construction.  Edge values are binary: whatever weights appear in
+A graph and its normalized adjacency are scipy CSR matrices, as the
+features are (:class:`gssl.data.FeatureMatrix`), and their ``data``,
+``indices`` and ``indptr`` are read-only from construction on.  Products
+and row and column selections use the matrix itself: there is no second
+copy of the structure.  Edge values are binary: whatever weights appear in
 the input are discarded and forced to 1.  The usual preprocessing
 pipeline is::
 
@@ -16,7 +19,6 @@ fixed-point iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,29 +39,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Csr:
-    """Shared CSR layout: row offsets, sorted column indices, values."""
+class _FrozenCsr(sp.csr_matrix):
+    """A scipy CSR matrix whose ``data``, ``indices`` and ``indptr`` are
+    read-only.  Scipy builds scalar products, row and column selections and
+    copies as ``self.__class__``, so those are frozen too."""
 
-    n_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("indptr", "indices", "values"):
-            getattr(self, name).setflags(write=False)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for arr in (self.data, self.indices, self.indptr):
+            arr.setflags(write=False)
 
     @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    @cached_property
-    def scipy(self) -> sp.csr_matrix:
-        """scipy CSR of this graph, for products.  It shares ``values``; scipy
-        holds ``indptr`` and ``indices`` as int32 copies when they fit."""
-        n = self.n_nodes
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(n, n))
+    def n_nodes(self) -> int:
+        return self.shape[0]
 
     @cached_property
     def _entry_rows(self) -> np.ndarray:
@@ -69,7 +61,7 @@ class _Csr:
 
     def row_index_per_entry(self) -> np.ndarray:
         """Row id of every stored entry, aligned with ``indices``: one
-        read-only array, computed on the first call."""
+        read-only int64 array, computed on the first call."""
         return self._entry_rows
 
     @cached_property
@@ -78,8 +70,7 @@ class _Csr:
         return np.unique(rows[self.indices == rows]).size == self.n_nodes
 
 
-@dataclass(frozen=True)
-class Graph(_Csr):
+class Graph(_FrozenCsr):
     """Immutable binary undirected graph.
 
     Invariants: entry (u, v) present iff (v, u) present with equal value,
@@ -94,30 +85,29 @@ class Graph(_Csr):
         return (self.nnz - loops) // 2 + loops
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency(_Csr):
+class NormalizedAdjacency(_FrozenCsr):
     """Symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
     Symmetric, spectral radius <= 1.  Its stored entries are those of
-    A + I, since :func:`sym_normalize` copies that pattern.  Built once per
+    A + I, since :func:`sym_normalize` shares that pattern.  Built once per
     graph and shared read-only by models, losses and diffusion.
     """
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
         """D - A_hat with D = diag(degrees(A_hat)), the l2 smoothness operator."""
-        return (sp.diags(degrees(self)) - self.scipy).tocsr()
+        return (sp.diags(degrees(self)) - self).tocsr()
 
 
-def _csr_from_pairs(rows: np.ndarray, cols: np.ndarray, n_nodes: int):
-    """Dedup (row, col) pairs and return sorted CSR arrays with unit values."""
+def _graph_from_pairs(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> Graph:
+    """The graph of the (row, col) pairs, deduplicated, with unit values."""
     keys = np.sort(rows.astype(np.int64) * n_nodes + cols.astype(np.int64))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique's hash table is slower here
     rows_u = keys // n_nodes
     cols_u = keys % n_nodes
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows_u, minlength=n_nodes), out=indptr[1:])
-    return indptr, cols_u.astype(np.int64), np.ones(keys.shape[0])
+    return Graph((np.ones(keys.shape[0]), cols_u, indptr), shape=(n_nodes, n_nodes))
 
 
 def from_edge_list(pairs, n_nodes: int) -> Graph:
@@ -145,8 +135,7 @@ def from_edge_list(pairs, n_nodes: int) -> Graph:
         raise InputError(f"node id {bad} out of range [0, {n_nodes})")
     rows = np.concatenate([arr[:, 0], arr[:, 1]])
     cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    indptr, indices, values = _csr_from_pairs(rows, cols, n_nodes)
-    return Graph(n_nodes, indptr, indices, values)
+    return _graph_from_pairs(rows, cols, n_nodes)
 
 
 def add_self_loops(g: Graph) -> Graph:
@@ -157,13 +146,12 @@ def add_self_loops(g: Graph) -> Graph:
     diag = np.arange(g.n_nodes, dtype=np.int64)
     rows = np.concatenate([g.row_index_per_entry(), diag])
     cols = np.concatenate([g.indices, diag])
-    indptr, indices, values = _csr_from_pairs(rows, cols, g.n_nodes)
-    return Graph(g.n_nodes, indptr, indices, values)
+    return _graph_from_pairs(rows, cols, g.n_nodes)
 
 
-def degrees(g: _Csr) -> np.ndarray:
+def degrees(g: _FrozenCsr) -> np.ndarray:
     """Row sums of the stored values (weighted degree)."""
-    return np.bincount(g.row_index_per_entry(), weights=g.values, minlength=g.n_nodes)
+    return np.bincount(g.row_index_per_entry(), weights=g.data, minlength=g.n_nodes)
 
 
 def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
@@ -185,13 +173,8 @@ def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
         )
     inv_sqrt = 1.0 / np.sqrt(deg)
     rows = g_tilde.row_index_per_entry()
-    values = g_tilde.values * inv_sqrt[rows] * inv_sqrt[g_tilde.indices]
-    return NormalizedAdjacency(
-        g_tilde.n_nodes,
-        g_tilde.indptr.copy(),
-        g_tilde.indices.copy(),
-        values,
-    )
+    data = g_tilde.data * inv_sqrt[rows] * inv_sqrt[g_tilde.indices]
+    return NormalizedAdjacency((data, g_tilde.indices, g_tilde.indptr), shape=g_tilde.shape)
 
 
 def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +188,7 @@ def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return positions, offsets
 
 
-def within_hops(g: _Csr, rows: np.ndarray, hops: int) -> np.ndarray:
+def within_hops(g: _FrozenCsr, rows: np.ndarray, hops: int) -> np.ndarray:
     """The nodes at most ``hops`` steps from ``rows`` along the stored
     entries of the symmetric ``g``, ascending."""
     near = np.zeros(g.n_nodes, dtype=bool)
@@ -218,14 +201,8 @@ def within_hops(g: _Csr, rows: np.ndarray, hops: int) -> np.ndarray:
 
 def induced_block(a_hat: NormalizedAdjacency, rows: np.ndarray) -> NormalizedAdjacency:
     """Rows and columns ``rows`` (ascending, distinct) of ``a_hat``, values
-    unchanged.  Each row keeps, in order, its stored entries whose column is
-    in ``rows``, so a row whose neighbours are all in ``rows`` sums as it
-    does in ``a_hat``.  A principal block of ``a_hat``, it is symmetric with
-    spectral radius <= 1 and keeps every self-loop."""
-    positions, offsets = row_entries(a_hat.indptr, rows)
-    local = np.full(a_hat.n_nodes, -1, dtype=np.int64)
-    local[rows] = np.arange(rows.size)
-    cols = local[a_hat.indices[positions]]
-    kept = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(kept)])[offsets]
-    return NormalizedAdjacency(rows.size, indptr, cols[kept], a_hat.values[positions[kept]])
+    unchanged.  Scipy's selections keep each row's stored entries in order, so
+    a row whose neighbours are all in ``rows`` sums as it does in ``a_hat``.
+    A principal block of ``a_hat``, it is symmetric with spectral radius <= 1
+    and keeps every self-loop."""
+    return a_hat[rows][:, rows]

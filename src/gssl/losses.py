@@ -90,7 +90,7 @@ def smooth_target(z: Tensor, a_hat: NormalizedAdjacency) -> np.ndarray:
     argmax of each row of Z (ties to the lowest class), recomputed every
     call; as a plain array no gradient flows through it."""
     n, c = z.shape
-    return a_hat.scipy @ label_matrix(z.values.argmax(axis=1), np.arange(n), c)
+    return a_hat @ label_matrix(z.values.argmax(axis=1), np.arange(n), c)
 
 
 def ce_smooth(z: Tensor, a_hat: NormalizedAdjacency) -> Tensor:

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
-from .graph import NormalizedAdjacency
+from .graph import NormalizedAdjacency, row_entries
 
 __all__ = [
     "KINDS",
@@ -105,19 +105,24 @@ class LayerParams:
 @dataclass(frozen=True, eq=False)
 class Field:
     """The rows a forward pass computes: ``rows`` (ascending) of an
-    ``n_rows``-node graph.  The pass gets the field's rows of X and the
-    block of A_hat on them, and returns its outputs at ``rows`` of n_rows-row
-    matrices, zero elsewhere.
+    ``n_rows``-node graph whose CSR X has row offsets ``x_indptr``.  The pass
+    gets the field's rows of X and the block of A_hat on them, and returns
+    its outputs at ``rows`` of n_rows-row matrices, zero elsewhere.
 
     Dropout draws for the whole graph and keeps the field's draws, so a run's
     random stream and each row's mask do not depend on the field.
-    ``x_draws`` = (count, index) are X's: a sparse X draws once per stored
-    value, so count is its nnz and index the positions of the field's values.
     """
 
     n_rows: int
     rows: np.ndarray
-    x_draws: tuple[int, np.ndarray]
+    x_indptr: np.ndarray
+
+    @cached_property
+    def x_draws(self) -> tuple[int, np.ndarray]:
+        """X's (count, index): a sparse X draws once per stored value, so count
+        is its nnz and index the positions of the field's values.  Computed on
+        the first dropout draw, so a field that only evaluates never holds it."""
+        return int(self.x_indptr[-1]), row_entries(self.x_indptr, self.rows)[0]
 
     def draws(self, layer: int) -> tuple[int, np.ndarray]:
         """``ad.dropout``'s ``rows`` for the input of ``layer``."""
@@ -188,7 +193,7 @@ def _dense(h, p, a_hat, cfg):
 
 def _gcn(h, p, a_hat, cfg):
     """A_hat (H W) + b."""
-    return ad.add(ad.spmm(a_hat.scipy, _linear(h, p.weight)), p.bias)
+    return ad.add(ad.spmm(a_hat, _linear(h, p.weight)), p.bias)
 
 
 def gat_attention(wh: Tensor, attn: Tensor, a_hat: NormalizedAdjacency, cfg: ModelConfig) -> Tensor:
@@ -253,7 +258,7 @@ class Model:
             if l < last:
                 h = hidden = ad.relu(h)
         if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
-            h = ad.propagate(a_hat.scipy, h, cfg.appnp_alpha, cfg.appnp_k)
+            h = ad.propagate(a_hat, h, cfg.appnp_alpha, cfg.appnp_k)
         if field is not None:
             h = ad.spmm(field.put_back, h)
             if return_hidden and hidden is not None:
@@ -327,16 +332,21 @@ def _json_bytes(obj) -> np.ndarray:
 
 def load_checkpoint(path) -> Model:
     """The model :func:`save_checkpoint` wrote.  A file that is not such an
-    archive raises InputError; non-finite parameters raise NumericError."""
+    archive, or an entry whose shape is not the one its config gives, raises
+    InputError; non-finite parameters raise NumericError."""
     try:
         with np.load(path) as data:
             cfg = ModelConfig(**json.loads(bytes(data["config"]).decode()))
             d_in, n_classes = data["weight_0"].shape[0], data[f"weight_{cfg.n_layers - 1}"].shape[1]
             model = Model.init(cfg, d_in, n_classes, seed=0)
-            model.load_state_values(
-                [Tensor(data[name]).values for name, _ in model.named_parameters()])
-    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+            entries = {name: data[name] for name, _ in model.named_parameters()}
+    except (EOFError, IndexError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
         raise InputError(f"{path}: not a checkpoint ({err})") from None
+    for name, t in model.named_parameters():
+        if entries[name].shape != t.shape:
+            raise InputError(f"{path}: entry {name} has shape {entries[name].shape}, "
+                             f"its config gives {t.shape}")
+        t.values = Tensor(entries[name]).values
     return model
 
 

@@ -37,8 +37,7 @@ from .autodiff import Tensor
 from .data import FeatureMatrix, LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
-from .graph import (NormalizedAdjacency, add_self_loops, induced_block, row_entries,
-                    sym_normalize, within_hops)
+from .graph import NormalizedAdjacency, add_self_loops, induced_block, sym_normalize, within_hops
 from .losses import LossConfig, combined_loss, rows_read
 from .models import Field, Model
 
@@ -162,11 +161,8 @@ class DataContext:
         n = self.a_hat.n_nodes
         if rows.size == n:
             return self
-        positions, indptr = row_entries(self.x.indptr, rows)
-        x = FeatureMatrix((self.x.data[positions], self.x.indices[positions], indptr),
-                          shape=(rows.size, self.x.shape[1]))
-        return DataContext(x, self.labels, self.n_classes, induced_block(self.a_hat, rows),
-                           Field(n, rows, (self.x.nnz, positions)))
+        return DataContext(self.x[rows], self.labels, self.n_classes,
+                           induced_block(self.a_hat, rows), Field(n, rows, self.x.indptr))
 
     def forward(self, model: Model, training=False, rng=None, return_hidden=False):
         return model.forward(self.x, self.a_hat, training=training, rng=rng,

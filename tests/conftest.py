@@ -64,7 +64,7 @@ def normalized(g: Graph):
 
 def dense(adj) -> np.ndarray:
     """The n x n matrix of a graph or operator, for checks on small graphs."""
-    return adj.scipy.toarray()
+    return adj.toarray()
 
 
 def forbid_densifying(monkeypatch, what: str) -> None:
@@ -307,7 +307,7 @@ def regularization_objective(z: Tensor, y, a_hat: NormalizedAdjacency, mu: float
     diff = ad.sub(z, Tensor(np.asarray(y, dtype=np.float64)))
     fit = ad.sum(ad.elementwise_mul(diff, diff))
     quad = ad.sub(ad.sum(ad.elementwise_mul(z, z)),
-                  ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat.scipy, z))))
+                  ad.sum(ad.elementwise_mul(z, ad.spmm(a_hat, z))))
     return ad.add(fit, ad.scale(quad, mu))
 
 

@@ -138,14 +138,14 @@ def test_dropout_needs_rng_when_training():
 def test_spmm_identity_graph():
     a_hat = normalized(from_edge_list([], 4))
     x = leaf(np.arange(8.0).reshape(4, 2))
-    assert np.array_equal(ad.spmm(a_hat.scipy, x).values, x.values)
+    assert np.array_equal(ad.spmm(a_hat, x).values, x.values)
 
 
 def test_spmm_matches_dense():
     rng = np.random.default_rng(1)
     a_hat = normalized(random_graph(50, 0.1, seed=2))
     x = Tensor(rng.normal(size=(50, 7)))
-    assert np.abs(ad.spmm(a_hat.scipy, x).values - dense(a_hat) @ x.values).max() < 1e-12
+    assert np.abs(ad.spmm(a_hat, x).values - dense(a_hat) @ x.values).max() < 1e-12
 
 
 def test_spmm_rejects_a_dense_or_misshaped_left_factor():
@@ -211,7 +211,7 @@ def test_backward_is_linear():
 def test_spmm_backward_matches_transpose_rule():
     a_hat = normalized(random_graph(12, 0.3, seed=4))
     b = leaf(np.random.default_rng(6).normal(size=(12, 3)))
-    ad.backward(ad.sum(ad.spmm(a_hat.scipy, b)))
+    ad.backward(ad.sum(ad.spmm(a_hat, b)))
     assert np.allclose(b.grad, dense(a_hat).T @ np.ones((12, 3)))
 
 
@@ -291,8 +291,8 @@ def fd_cases():
         "relu": (lambda x: ad.sum(ad.relu(x)), (5, 7), {"away_from_zero": True}),
         "leaky_relu": (lambda x: ad.sum(ad.leaky_relu(x, 0.2)), (5, 7), {"away_from_zero": True}),
         "concat_cols_left": (lambda x: ad.sum(ad.elementwise_mul(ad.concat_cols(x, const), ad.concat_cols(const, x))), (5, 7), {}),
-        "spmm": (lambda x: ad.sum(ad.elementwise_mul(ad.spmm(a_hat.scipy, x), ad.spmm(a_hat.scipy, x))), (5, 7), {}),
-        "propagate": (lambda x: ad.sum(ad.elementwise_mul(const, ad.propagate(a_hat.scipy, x, 0.1, 3))), (5, 7), {}),
+        "spmm": (lambda x: ad.sum(ad.elementwise_mul(ad.spmm(a_hat, x), ad.spmm(a_hat, x))), (5, 7), {}),
+        "propagate": (lambda x: ad.sum(ad.elementwise_mul(const, ad.propagate(a_hat, x, 0.1, 3))), (5, 7), {}),
         "spmm_rectangular": (lambda x: ad.sum(ad.elementwise_mul(const_4x7, ad.spmm(rect, x))), (5, 7), {}),
         "gather_rows": (lambda x: ad.sum(ad.elementwise_mul(ad.gather_rows(x, rows), ad.gather_rows(x, rows))), (5, 7), {}),
         "edge_softmax": (lambda x: ad.sum(ad.elementwise_mul(Tensor(alpha_like), ad.edge_softmax(x, g_sl))), (g_sl.nnz, 1), {}),
@@ -317,7 +317,7 @@ def test_composite_graph_matches_finite_differences():
     w2 = Tensor(rng.normal(size=(5, 3)))
 
     def f(x):
-        h = ad.relu(ad.matmul(ad.spmm(a_hat.scipy, x), w1))
+        h = ad.relu(ad.matmul(ad.spmm(a_hat, x), w1))
         z = ad.row_softmax(ad.matmul(h, w2))
         return ad.scale(ad.sum(ad.log_clamped(z)), -1.0)
 
@@ -399,7 +399,7 @@ def test_gather_rows_vjp_has_the_bits_of_add_at(idx):
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("k", [0, 1, 10])
 def test_propagate_has_the_bits_of_the_op_chain(k, alpha):
-    mat = normalized(random_graph(30, 0.15, seed=k)).scipy
+    mat = normalized(random_graph(30, 0.15, seed=k))
     rng = np.random.default_rng(k)
     h_values, g = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
     results = []
@@ -413,7 +413,7 @@ def test_propagate_has_the_bits_of_the_op_chain(k, alpha):
 
 def test_propagate_at_zero_steps_is_the_input():
     h = leaf(np.ones((3, 2)))
-    assert ad.propagate(normalized(random_graph(3, 1.0, seed=0)).scipy, h, 0.1, 0) is h
+    assert ad.propagate(normalized(random_graph(3, 1.0, seed=0)), h, 0.1, 0) is h
 
 
 def test_propagate_over_many_steps_is_the_diffusion_solution():
@@ -421,12 +421,12 @@ def test_propagate_over_many_steps_is_the_diffusion_solution():
     # A_hat)^-1 alpha H: the "infinite layers" its propagation stands for
     a_hat = normalized(random_connected_graph(60, seed=3))
     h = np.random.default_rng(3).uniform(-1.0, 1.0, size=(60, 3))
-    z = ad.propagate(a_hat.scipy, Tensor(h), 0.1, 200).values
+    z = ad.propagate(a_hat, Tensor(h), 0.1, 200).values
     assert np.abs(z - diffuse_direct(a_hat, h, 0.1)).max() < 1e-8
 
 
 def test_propagate_rejects_bad_arguments():
-    mat = normalized(random_graph(4, 1.0, seed=0)).scipy
+    mat = normalized(random_graph(4, 1.0, seed=0))
     with pytest.raises(InputError):
         ad.propagate(mat, Tensor(np.ones((3, 2))), 0.1, 2)
     with pytest.raises(InputError):

@@ -100,6 +100,16 @@ def test_main_validate_exit_codes(tmp_path):
     assert main(["validate-dataset", str(d)]) == 1
 
 
+def test_a_class_id_beyond_the_node_count_is_one_short_error(tmp_path, capsys):
+    d, ds = write_blobs(tmp_path)
+    labels = ds.labels.tolist()[:-1] + [1_000_000]
+    (d / "labels.txt").write_text("".join(f"{c}\n" for c in labels), encoding="ascii")
+    assert main(["validate-dataset", str(d)]) == 1
+    out = capsys.readouterr().out
+    assert f"class id 1000000 needs 1000001 classes, more than {ds.n_nodes} nodes can hold" in out
+    assert len(out) < 500
+
+
 def test_main_make_splits(tmp_path):
     d, _ = write_blobs(tmp_path, n_per=20)
     out = tmp_path / "splits.json"
@@ -539,6 +549,15 @@ def text_checkpoint(data_dir, ds, ckpt):
     return str(ckpt)
 
 
+def checkpoint_of_a_narrower_layer(data_dir, ds, ckpt):
+    # the config's hidden_dim is 4, the entries hold a hidden layer of 3
+    with np.load(ckpt) as data:
+        entries = {name: data[name] for name in data.files}
+    np.savez(ckpt, **dict(entries, bias_0=entries["bias_0"][:, :3],
+                          weight_1=entries["weight_1"][:3]))
+    return f"{ckpt}: entry bias_0 has shape (1, 3), its config gives (1, 4)"
+
+
 def checkpoint_without(entry):
     def corrupt(data_dir, ds, ckpt):
         with np.load(ckpt) as data:
@@ -559,10 +578,11 @@ def checkpoint_without(entry):
     (text_checkpoint, "export-embeddings"),
     (checkpoint_without("config"), "export-embeddings"),
     (checkpoint_without("weight_1"), "export-embeddings"),
+    (checkpoint_of_a_narrower_layer, "export-embeddings"),
 ], ids=["nan-dense-feature", "inf-sparse-feature", "negative-sparse-dimension",
         "header-only-sparse-features", "non-ascii-label", "edge-beyond-the-nodes",
         "negative-label", "text-checkpoint",
-        "npz-without-config", "npz-without-last-weight"])
+        "npz-without-config", "npz-without-last-weight", "npz-of-a-narrower-layer"])
 def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
     data_dir, ds = write_blobs(tmp_path)
     ckpt = tmp_path / "model.npz"

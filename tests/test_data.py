@@ -11,7 +11,7 @@ import gssl.data
 from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
                        make_splits, read_edge_list, row_normalize_features, save_splits)
 from gssl.errors import InputError
-from gssl.graph import degrees
+from gssl.graph import degrees, from_edge_list
 
 from conftest import reference_parse, require_dataset, save_dataset, two_blob_dataset
 
@@ -129,7 +129,7 @@ def test_crlf_line_ends_without_a_final_newline_load_the_same(pubmed_sized, tmp_
     crlf = load_dataset(tmp_path)
     assert same_csr(crlf.features, ds.features) and crlf.features.dtype == ds.features.dtype
     assert np.array_equal(crlf.labels, ds.labels)
-    assert same_csr(crlf.graph.scipy, ds.graph.scipy)
+    assert same_csr(crlf.graph, ds.graph)
     assert np.array_equal(read_edge_list(tmp_path / "graph.edges"), pairs)
 
 
@@ -176,7 +176,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.array_equal(loaded.graph.indptr, ds.graph.indptr)
     assert np.array_equal(loaded.graph.indices, ds.graph.indices)
-    assert np.array_equal(loaded.graph.values, ds.graph.values)
+    assert np.array_equal(loaded.graph.data, ds.graph.data)
 
 
 def test_row_count_mismatch_detected(tmp_path):
@@ -184,6 +184,12 @@ def test_row_count_mismatch_detected(tmp_path):
     (d / "labels.txt").write_text("0\n1\n1\n", encoding="ascii")
     with pytest.raises(InputError, match="rows"):
         load_dataset(d)
+
+
+def test_classes_without_nodes_are_counted_and_the_first_few_named():
+    labels = np.array([0] * 9 + [9])
+    with pytest.raises(InputError, match=r"^classes \[1, 2, 3, 4, 5, \.\.\.\] have no nodes \(8 in all\)$"):
+        LabeledDataset(from_edge_list([], 10), np.zeros((10, 2)), labels)
 
 
 def test_label_file_errors_carry_line_numbers(tmp_path):

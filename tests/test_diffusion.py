@@ -111,7 +111,7 @@ def test_contraction_rate_bound():
     rho = np.abs(np.linalg.eigvalsh(dense(a_hat))).max()
     y = label_matrix(np.arange(30) % 3, [0, 10, 20])
     gamma = 0.2
-    mat = a_hat.scipy
+    mat = a_hat
     z = y.copy()
     residuals = []
     for _ in range(60):

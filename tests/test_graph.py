@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gssl.data import read_edge_list
 from gssl.errors import InputError
-from gssl.graph import (add_self_loops, degrees, from_edge_list, induced_block, row_entries,
-                        sym_normalize, within_hops)
+from gssl.graph import (Graph, NormalizedAdjacency, add_self_loops, degrees, from_edge_list,
+                        induced_block, row_entries, sym_normalize, within_hops)
+from gssl.trainer import DataContext
 
-from conftest import dense, normalized, random_graph, random_pairs
+from conftest import dense, normalized, random_graph, random_pairs, two_blob_dataset
 
 
 def test_from_edge_list_path_graph():
@@ -20,7 +22,7 @@ def test_from_edge_list_path_graph():
 def test_from_edge_list_dedups_and_binarizes():
     g = from_edge_list([(0, 1), (1, 0), (0, 1)], 2)
     assert g.nnz == 2
-    assert np.all(g.values == 1.0)
+    assert np.all(g.data == 1.0)
 
 
 def test_from_edge_list_empty_is_valid():
@@ -54,7 +56,7 @@ def test_from_edge_list_order_invariant(pairs, order_seed):
     g2 = from_edge_list(shuffled, 10)
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
-    assert np.array_equal(g1.values, g2.values)
+    assert np.array_equal(g1.data, g2.data)
 
 
 def test_structure_is_symmetric_and_sorted():
@@ -121,7 +123,7 @@ def test_sparse_matvec_matches_dense():
         a_hat = normalized(random_graph(60, 0.08, seed))
         mat = dense(a_hat)
         vec = rng.normal(size=(60, 3))
-        assert np.abs(a_hat.scipy @ vec - mat @ vec).max() < 1e-12
+        assert np.abs(a_hat @ vec - mat @ vec).max() < 1e-12
 
 
 def test_normalized_row_sums_match_dense():
@@ -170,14 +172,36 @@ def test_row_index_users_match_the_dense_graph():
     assert (g.has_all_self_loops, g_sl.has_all_self_loops) == (False, True)
     inv_sqrt = 1.0 / np.sqrt(dense(g_sl).sum(axis=1))
     rows = np.repeat(np.arange(30), np.diff(g_sl.indptr))
-    per_entry = g_sl.values * inv_sqrt[rows] * inv_sqrt[g_sl.indices]
-    assert sym_normalize(g_sl).values.tobytes() == per_entry.tobytes()
+    per_entry = g_sl.data * inv_sqrt[rows] * inv_sqrt[g_sl.indices]
+    assert sym_normalize(g_sl).data.tobytes() == per_entry.tobytes()
+
+
+def test_graphs_are_csr_matrices_with_read_only_arrays_of_one_index_dtype():
+    ds = two_blob_dataset(n_per=16, seed=3)
+    g_sl = add_self_loops(ds.graph)
+    a_hat = sym_normalize(g_sl)
+    rows = np.arange(0, ds.n_nodes, 3)
+    field = DataContext.from_dataset(ds).field_of(rows, 0)
+    made = [(ds.graph, Graph), (g_sl, Graph), (a_hat, NormalizedAdjacency),
+            (induced_block(a_hat, rows), NormalizedAdjacency), (field.a_hat, NormalizedAdjacency)]
+    assert field.a_hat.n_nodes == rows.size
+    for m, kind in made:
+        assert isinstance(m, sp.csr_matrix) and type(m) is kind
+        assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
+    assert len({a.dtype for m, _ in made for a in (m.indices, m.indptr)}) == 1
+
+
+def test_sym_normalize_shares_the_pattern_of_its_input():
+    g_sl = add_self_loops(random_graph(30, 0.2, seed=4))
+    a_hat = sym_normalize(g_sl)
+    assert np.shares_memory(a_hat.indices, g_sl.indices)
+    assert np.shares_memory(a_hat.indptr, g_sl.indptr)
 
 
 def test_graph_arrays_immutable():
     g = from_edge_list([(0, 1)], 2)
     with pytest.raises(ValueError):
-        g.values[0] = 2.0
+        g.data[0] = 2.0
 
 
 @pytest.mark.parametrize("hops", [0, 1, 2, 5])
@@ -199,12 +223,12 @@ def test_induced_block_is_the_dense_block_with_each_row_in_order():
         kept = np.isin(a_hat.indices[entries], rows)
         assert np.array_equal(rows[block.indices[block.indptr[i]:block.indptr[i + 1]]],
                               a_hat.indices[entries][kept])
-        assert np.array_equal(block.values[block.indptr[i]:block.indptr[i + 1]],
-                              a_hat.values[entries][kept])
+        assert np.array_equal(block.data[block.indptr[i]:block.indptr[i + 1]],
+                              a_hat.data[entries][kept])
 
 
 def test_row_entries_are_the_rows_of_the_csr():
-    m = normalized(random_graph(40, 0.2, seed=9)).scipy
+    m = normalized(random_graph(40, 0.2, seed=9))
     rows = np.array([0, 5, 6, 39])
     positions, indptr = row_entries(m.indptr, rows)
     sub = type(m)((m.data[positions], m.indices[positions], indptr), shape=(4, 40))

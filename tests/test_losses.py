@@ -54,10 +54,9 @@ def random_distribution(rng, n, c):
 def two_node_adjacency(weight=0.5) -> NormalizedAdjacency:
     # just the off-diagonal pair, no self-loops
     return NormalizedAdjacency(
-        2,
-        np.array([0, 1, 2], dtype=np.int64),
-        np.array([1, 0], dtype=np.int64),
-        np.array([weight, weight]),
+        (np.array([weight, weight]), np.array([1, 0], dtype=np.int64),
+         np.array([0, 1, 2], dtype=np.int64)),
+        shape=(2, 2),
     )
 
 
@@ -146,7 +145,7 @@ def test_l2_smooth_zero_iff_constant_per_component():
 
     g = from_edge_list([(0, 1), (1, 2), (3, 4)], 6)  # components {0,1,2}, {3,4}, {5}
     a_hat = normalized(g)
-    n_comp, comp = csgraph.connected_components(g.scipy, directed=False)
+    n_comp, comp = csgraph.connected_components(g, directed=False)
     rng = np.random.default_rng(6)
     per_comp = rng.normal(size=(n_comp, 2))
     z_const = per_comp[comp]

@@ -102,7 +102,8 @@ def test_gat_requires_self_loops():
     cfg = ModelConfig(kind="gat", n_layers=1)
     params = init_params(cfg, 3, 2, seed=4)
     # the normalized edge (0, 1) alone, without the diagonal entries
-    a_hat = NormalizedAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
+    a_hat = NormalizedAdjacency((np.array([1.0, 1.0]), np.array([1, 0]), np.array([0, 1, 2])),
+                                shape=(2, 2))
     with pytest.raises(InputError, match="self-loop"):
         Model(cfg, params).forward(Tensor(np.zeros((2, 3))), a_hat)
 
@@ -414,6 +415,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.cfg == model.cfg
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(a.values, b.values)
+
+
+def test_checkpoint_whose_shapes_contradict_its_config_is_input_error(tmp_path):
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=6), 4, 3, seed=29)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as data:
+        entries = {name: data[name] for name in data.files}
+    # a hidden layer of 5 units where the config says 6
+    np.savez(path, **dict(entries, bias_0=entries["bias_0"][:, :5],
+                          weight_1=entries["weight_1"][:5]))
+    with pytest.raises(InputError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: entry bias_0 has shape (1, 5), its config gives (1, 6)"
+    np.savez(path, **dict(entries, weight_1=entries["weight_1"].ravel()))
+    with pytest.raises(InputError, match="not a checkpoint"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_with_non_finite_parameter_is_numeric_error(tmp_path):

@@ -463,6 +463,28 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     assert whole_hidden[rows].tobytes() == field_hidden.tobytes()
 
 
+def test_only_the_training_field_computes_its_x_positions(monkeypatch):
+    ctx, split, new_model, cfg = ring_run("gcn", 2)
+    fields, field_of = [], DataContext.field_of
+    calls, row_entries = [], gssl.models.row_entries
+
+    def spy_field_of(c, rows, hops):
+        out = field_of(c, rows, hops)
+        fields.append(out.field)
+        return out
+
+    def spy_row_entries(indptr, rows):
+        calls.append(rows)
+        return row_entries(indptr, rows)
+
+    monkeypatch.setattr(DataContext, "field_of", spy_field_of)
+    monkeypatch.setattr(gssl.models, "row_entries", spy_row_entries)
+    report = train(new_model(), ctx, split, cfg)
+    train_field, val_field = fields
+    assert report.epochs_run > 1 and len(calls) == 1 and calls[0] is train_field.rows
+    assert "x_draws" in vars(train_field) and "x_draws" not in vars(val_field)
+
+
 def assert_matches_the_whole_graph(model, oracle, ctx, split, cfg):
     """``train`` gives ``whole_graph_train``'s record and parameters up to
     float64 summation order; the report."""
