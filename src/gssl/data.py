@@ -72,7 +72,8 @@ class FeatureMatrix(sp.csr_matrix):
 @dataclass(frozen=True)
 class LabeledDataset:
     """A graph, its node features and labels.  ``features`` may be given
-    in any form scipy accepts and is stored as a float64 FeatureMatrix."""
+    in any form scipy accepts and is stored as a float64 FeatureMatrix;
+    ``labels`` is stored as a read-only int64 copy."""
 
     graph: Graph
     features: FeatureMatrix
@@ -82,6 +83,9 @@ class LabeledDataset:
     def __post_init__(self):
         if not isinstance(self.features, FeatureMatrix):
             object.__setattr__(self, "features", FeatureMatrix(self.features, dtype=np.float64))
+        # its own copy, frozen below, so the caller's array stays writeable
+        labels = np.asarray(self.labels).astype(np.int64, casting="same_kind")
+        object.__setattr__(self, "labels", labels)
         n = self.graph.n_nodes
         if self.features.shape[0] != n:
             raise InputError(
@@ -376,7 +380,7 @@ def row_normalize_features(ds: LabeledDataset) -> LabeledDataset:
     norms = np.bincount(rows, weights=np.abs(f.data), minlength=f.shape[0])[rows]
     scaled = np.divide(f.data, norms, out=f.data.copy(), where=norms > 0)
     features = FeatureMatrix((scaled, f.indices, f.indptr), shape=f.shape)
-    return LabeledDataset(ds.graph, features, ds.labels.copy(), name=ds.name)
+    return LabeledDataset(ds.graph, features, ds.labels, name=ds.name)
 
 
 def make_splits(ds: LabeledDataset, ell: int, n_splits: int, base_seed: int,

@@ -46,7 +46,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise InputError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.tol <= 0:
+        if not self.tol > 0:  # written so that NaN fails too
             raise InputError("tol must be positive")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")

@@ -49,6 +49,11 @@ class _FrozenCsr(sp.csr_matrix):
         for arr in (self.data, self.indices, self.indptr):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        """Pickles and deep copies are rebuilt through ``__init__``, so they
+        are frozen too and hold no cached values."""
+        return type(self), ((self.data, self.indices, self.indptr), self.shape)
+
     @property
     def n_nodes(self) -> int:
         return self.shape[0]

@@ -4,10 +4,12 @@ The combined objective is ``L_fit(Z, Y) + mu * L_smooth(Z; A_hat)`` with
 sum reduction throughout (no averaging; ``mu`` absorbs scale).  ``Y`` is
 the label matrix of :func:`gssl.diffusion.label_matrix`: one-hot on
 labeled rows, zero elsewhere, so the fitness terms run over its nonzero
-rows and no separate index list is needed.  The smoothness terms run
-over every stored entry of the normalized, self-looped adjacency, (i, i)
-self-pairs included: they are zero in the L2 variant and contribute a
-row-entropy term in the cross-entropy variant.
+rows and no separate index list is needed.  Z and Y hold the same rows,
+which may be a subset of the graph's (a field's, in :func:`gssl.trainer.train`)
+for the fitness terms alone.  The smoothness terms run over every stored
+entry of the normalized, self-looped adjacency, (i, i) self-pairs
+included: they are zero in the L2 variant and contribute a row-entropy
+term in the cross-entropy variant.
 
 The cross-entropy smoothness loss is the fitness loss ``ce_fit`` against
 the constant target ``A_hat phi(Z)`` of :func:`smooth_target`, where phi
@@ -36,7 +38,6 @@ __all__ = [
     "smooth_target",
     "ce_smooth",
     "combined_loss",
-    "rows_read",
 ]
 
 VARIANTS = ("cross_entropy", "l2")
@@ -111,9 +112,3 @@ def combined_loss(z: Tensor, y: np.ndarray, a_hat: NormalizedAdjacency, cfg: Los
         return fit(z, y)
     return ad.add(fit(z, y), ad.scale(smooth(z, a_hat), cfg.mu))
 
-
-def rows_read(y: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    """The rows of Z that ``combined_loss(z, y, a_hat, cfg)`` reads: the
-    nonzero (labeled) rows of Y, and every row once mu > 0 adds the
-    smoothness term."""
-    return np.arange(y.shape[0]) if cfg.mu > 0 else np.flatnonzero(y.any(axis=1))

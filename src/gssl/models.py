@@ -12,12 +12,13 @@ Every graph model takes the normalized adjacency A_hat: GCN and APPNP
 aggregate through its values, GAT computes its own attention weights
 over its stored entries, which are the self-looped edge structure.
 
-A row of the logits depends only on the nodes within :attr:`Model.hops`
-steps of it, so a pass may compute a :class:`Field` of rows: it gets
-their rows of X and the block of A_hat on them, and its output rows whose
-whole neighbourhood lies in the field are those of the whole graph.
-Dropout draws for the whole graph and keeps the field's draws, so the
-random stream and each row's mask do not depend on the field.
+The output has one row per row of X.  A row of the logits depends only
+on the nodes within :attr:`Model.hops` steps of it, so a pass over some
+rows of X and the block of A_hat on them gives the whole graph's logits
+at every row whose neighbourhood lies in those rows.  Dropout takes a
+``draws`` callable for such a pass: per layer, the whole input's draw
+count and the positions of the pass's draws in it, so the random stream
+and each row's mask do not depend on which rows a pass computes.
 
 The input X is a dense Tensor or a scipy sparse matrix (the CSR features
 of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,13 +44,12 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
-from .graph import NormalizedAdjacency, row_entries
+from .graph import NormalizedAdjacency
 
 __all__ = [
     "KINDS",
     "ModelConfig",
     "LayerParams",
-    "Field",
     "Model",
     "glorot_init",
     "init_params",
@@ -100,39 +99,6 @@ class LayerParams:
         the parameter layout that training, weight decay and checkpoints share."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if getattr(self, f.name) is not None]
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """The rows a forward pass computes: ``rows`` (ascending) of an
-    ``n_rows``-node graph whose CSR X has row offsets ``x_indptr``.  The pass
-    gets the field's rows of X and the block of A_hat on them, and returns
-    its outputs at ``rows`` of n_rows-row matrices, zero elsewhere.
-
-    Dropout draws for the whole graph and keeps the field's draws, so a run's
-    random stream and each row's mask do not depend on the field.
-    """
-
-    n_rows: int
-    rows: np.ndarray
-    x_indptr: np.ndarray
-
-    @cached_property
-    def x_draws(self) -> tuple[int, np.ndarray]:
-        """X's (count, index): a sparse X draws once per stored value, so count
-        is its nnz and index the positions of the field's values.  Computed on
-        the first dropout draw, so a field that only evaluates never holds it."""
-        return int(self.x_indptr[-1]), row_entries(self.x_indptr, self.rows)[0]
-
-    def draws(self, layer: int) -> tuple[int, np.ndarray]:
-        """``ad.dropout``'s ``rows`` for the input of ``layer``."""
-        return self.x_draws if layer == 0 else (self.n_rows, self.rows)
-
-    @cached_property
-    def put_back(self) -> sp.csr_matrix:
-        """The n_rows x len(rows) 0/1 matrix that moves row i to row rows[i]."""
-        k = self.rows.size
-        return sp.csr_matrix((np.ones(k), (self.rows, np.arange(k))), shape=(self.n_rows, k))
 
 
 def glorot_init(d_in: int, d_out: int, seed) -> Tensor:
@@ -239,13 +205,15 @@ class Model:
         return cls(cfg, init_params(cfg, d_in, n_classes, seed))
 
     def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
-                return_hidden=False, field: Field | None = None):
-        """Logits (n x n_classes), and with ``return_hidden`` also the
-        penultimate activations; every kind but MLP needs ``a_hat``.
-        ``x`` is a Tensor or a scipy sparse matrix.  With ``field``, ``x``
-        and ``a_hat`` are the field's rows and block, and a row of the output
-        equals the whole graph's when every node within :attr:`hops` steps of
-        it is in the field."""
+                return_hidden=False, draws=None):
+        """Logits (one row per row of ``x``, n_classes columns), and with
+        ``return_hidden`` also the penultimate activations; every kind but
+        MLP needs ``a_hat``.  ``x`` is a Tensor or a scipy sparse matrix.
+        ``draws(layer)``, when given, is ``ad.dropout``'s ``rows`` for the
+        input of ``layer``: ``x`` and ``a_hat`` are then some rows of a
+        larger graph and the block on them, and a row of the output equals
+        the larger graph's when every node within :attr:`hops` steps of it
+        is among those rows."""
         cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
         if a_hat is None and cfg.kind != "mlp":
             raise InputError(f"{cfg.kind} forward needs the normalized adjacency a_hat")
@@ -253,16 +221,12 @@ class Model:
         last = len(self.params) - 1
         for l, p in enumerate(self.params):
             if training and l < last:
-                h = _dropout(h, cfg.dropout, rng, None if field is None else field.draws(l))
+                h = _dropout(h, cfg.dropout, rng, None if draws is None else draws(l))
             h = layer(h, p, a_hat, cfg)
             if l < last:
                 h = hidden = ad.relu(h)
         if cfg.kind == "appnp":  # K steps of Z <- (1 - alpha) A_hat Z + alpha H from Z = H
             h = ad.propagate(a_hat, h, cfg.appnp_alpha, cfg.appnp_k)
-        if field is not None:
-            h = ad.spmm(field.put_back, h)
-            if return_hidden and hidden is not None:
-                hidden = ad.spmm(field.put_back, hidden)
         return (h, hidden) if return_hidden else h
 
     @property

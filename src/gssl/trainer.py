@@ -15,10 +15,10 @@ within :attr:`Model.hops` steps of the rows it reads.  A training step
 reads the labeled rows, or every row once ``mu > 0`` adds the smoothness
 term; a validation pass reads the validation and test rows whatever
 ``mu`` is.  The two field contexts are built once per run; a field that
-is every node is the whole-graph context itself.  The pass puts its
-logits back at their rows of an n-row matrix, so the losses and the
-accuracy read what a pass over the whole graph gives them, up to BLAS
-summation order.
+is every node is the whole-graph context itself.  A field's pass returns
+one row per field node, so the label matrices are built over the field's
+rows and the accuracies read it at :meth:`DataContext.at` positions; the
+values read are the whole graph's up to BLAS summation order.
 Autodiff ops do not check their outputs for NaN/Inf; instead each epoch
 checks the training loss and every parameter gradient after ``backward``
 and the validation loss after its pass.  The features stay in the dataset's CSR
@@ -29,6 +29,7 @@ through ``spmm``, and its dropout removes the dropped entries from the CSR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +38,10 @@ from .autodiff import Tensor
 from .data import FeatureMatrix, LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
-from .graph import NormalizedAdjacency, add_self_loops, induced_block, sym_normalize, within_hops
-from .losses import LossConfig, combined_loss, rows_read
-from .models import Field, Model
+from .graph import (NormalizedAdjacency, add_self_loops, induced_block, row_entries, sym_normalize,
+                    within_hops)
+from .losses import LossConfig, combined_loss
+from .models import Model
 
 __all__ = [
     "TrainConfig",
@@ -134,14 +136,16 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig,
 class DataContext:
     """Everything a forward pass needs, built once per dataset.  ``x`` is
     the dataset's CSR feature matrix itself, not a dense copy.  The context
-    of a field (:meth:`field_of`) holds the field's rows of X and the block
-    of A_hat on them."""
+    of a field (:meth:`field_of`) holds the field's ascending node ids
+    ``rows``, their labels and rows of X, the block of A_hat on them, and
+    the ``whole`` context it came from; the whole graph's has neither."""
 
     x: FeatureMatrix
     labels: np.ndarray
     n_classes: int
     a_hat: NormalizedAdjacency
-    field: Field | None = None
+    rows: np.ndarray | None = None
+    whole: DataContext | None = None
 
     @classmethod
     def from_dataset(cls, ds: LabeledDataset) -> "DataContext":
@@ -158,15 +162,33 @@ class DataContext:
         that is every node.  Its ``a_hat`` is the field's block, so no loss
         that reads every row may run on it."""
         rows = within_hops(self.a_hat, np.asarray(rows, dtype=np.int64), hops)
-        n = self.a_hat.n_nodes
-        if rows.size == n:
+        if rows.size == self.a_hat.n_nodes:
             return self
-        return DataContext(self.x[rows], self.labels, self.n_classes,
-                           induced_block(self.a_hat, rows), Field(n, rows, self.x.indptr))
+        return DataContext(self.x[rows], self.labels[rows], self.n_classes,
+                           induced_block(self.a_hat, rows), rows, self)
+
+    def at(self, nodes) -> np.ndarray:
+        """The positions of the node ids ``nodes``, all in this context,
+        among its rows: the ids themselves on the whole graph."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return nodes if self.rows is None else np.searchsorted(self.rows, nodes)
+
+    @cached_property
+    def x_draws(self) -> tuple[int, np.ndarray]:
+        """X's draw count (a sparse X draws once per stored value) and the
+        field's positions among them, computed on the first dropout draw."""
+        return self.whole.x.nnz, row_entries(self.whole.x.indptr, self.rows)[0]
+
+    def draws(self, layer: int) -> tuple[int, np.ndarray] | None:
+        """``ad.dropout``'s ``rows`` for the input of ``layer``: a field keeps
+        its draws of the whole graph's, so masks do not depend on the field."""
+        if self.rows is None:
+            return None
+        return self.x_draws if layer == 0 else (self.whole.a_hat.n_nodes, self.rows)
 
     def forward(self, model: Model, training=False, rng=None, return_hidden=False):
         return model.forward(self.x, self.a_hat, training=training, rng=rng,
-                             return_hidden=return_hidden, field=self.field)
+                             return_hidden=return_hidden, draws=self.draws)
 
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:
@@ -194,14 +216,15 @@ def _train_step(model: Model, ctx: DataContext, y_train: np.ndarray, cfg: TrainC
     return float(loss.values[0, 0])
 
 
-def _validate(model: Model, ctx: DataContext, y_val: np.ndarray, split: Split,
+def _validate(model: Model, ctx: DataContext, y_val: np.ndarray, val: np.ndarray,
               cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """Validation fit loss (the combined loss at mu 0), accuracy and logits
-    with dropout off.  A non-finite loss raises NumericError."""
+    """Validation fit loss (the combined loss at mu 0), accuracy at the
+    positions ``val`` and logits, with dropout off.  A non-finite loss
+    raises NumericError."""
     logits = ctx.forward(model, training=False)
     loss = combined_loss(ad.row_softmax(logits), y_val, ctx.a_hat, replace(cfg.loss, mu=0.0))
     ad.check_finite(loss.values, "validation loss")
-    return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, split.val), logits.values
+    return float(loss.values[0, 0]), accuracy(logits.values, ctx.labels, val), logits.values
 
 
 def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> TrainReport:
@@ -220,10 +243,12 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
     non-finite one raises TrainingAbort naming the epoch and the value.
     """
     rng = np.random.default_rng(cfg.seed)
-    y_train = label_matrix(ctx.labels, split.train, ctx.n_classes)
-    y_val = label_matrix(ctx.labels, split.val, ctx.n_classes)
-    train_ctx = ctx.field_of(rows_read(y_train, cfg.loss), model.hops)
+    # the smoothness term reads every row
+    train_ctx = ctx if cfg.loss.mu > 0 else ctx.field_of(split.train, model.hops)
     val_ctx = ctx.field_of(np.union1d(split.val, split.test), model.hops)
+    y_train = label_matrix(train_ctx.labels, train_ctx.at(split.train), ctx.n_classes)
+    val = val_ctx.at(split.val)
+    y_val = label_matrix(val_ctx.labels, val, ctx.n_classes)
     state = AdamState(model.parameters())
     history: list[tuple[float, float, float]] = []
     best_loss, best_epoch, best_values, best_logits = np.inf, 0, None, None
@@ -232,7 +257,7 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
         try:
             with np.errstate(all="ignore"):
                 train_loss = _train_step(model, train_ctx, y_train, cfg, state, rng)
-                val_loss, val_acc, logits = _validate(model, val_ctx, y_val, split, cfg)
+                val_loss, val_acc, logits = _validate(model, val_ctx, y_val, val, cfg)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}") from err
         history.append((train_loss, val_loss, val_acc))
@@ -243,6 +268,6 @@ def train(model: Model, ctx: DataContext, split: Split, cfg: TrainConfig) -> Tra
             break
 
     model.load_state_values(best_values)
-    test_acc = accuracy(best_logits, ctx.labels, split.test)
+    test_acc = accuracy(best_logits, val_ctx.labels, val_ctx.at(split.test))
     return TrainReport(best_epoch=best_epoch, epochs_run=epoch, test_acc=test_acc,
                        history=history)

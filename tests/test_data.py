@@ -352,6 +352,16 @@ def test_dataset_built_in_memory_rejects_non_finite_features():
         LabeledDataset(ds.graph, features, ds.labels)
 
 
+def test_a_dataset_freezes_its_own_copy_of_the_labels():
+    ds = two_blob_dataset(n_per=4, seed=7)
+    labels = np.array(ds.labels)
+    built = LabeledDataset(ds.graph, ds.features, labels)
+    assert labels.flags.writeable and not built.labels.flags.writeable
+    assert built.labels.dtype == np.int64 and np.array_equal(built.labels, labels)
+    labels[0] = 1 - labels[0]
+    assert built.labels[0] != labels[0]
+
+
 def test_edge_ids_must_fit_node_count(tmp_path):
     d = write_toy_dir(tmp_path)
     (d / "graph.edges").write_text("0 1\n" * 1500 + "1 2\n3 4\n", encoding="ascii")

@@ -37,6 +37,9 @@ def test_config_validation():
         DiffusionConfig(gamma=0.0)
     with pytest.raises(InputError):
         DiffusionConfig(gamma=1.5)
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(InputError, match="tol"):
+            DiffusionConfig(gamma=0.5, tol=tol)
 
 
 def test_gamma_one_is_identity_kernel():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -159,6 +162,22 @@ def test_row_index_per_entry_is_one_cached_read_only_array(kind):
     assert np.array_equal(rows, np.repeat(np.arange(adj.n_nodes), np.diff(adj.indptr)))
     with pytest.raises(ValueError):
         rows[0] = 1
+
+
+@pytest.mark.parametrize("round_trip", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_round_tripped_graph_is_frozen_and_equal(round_trip):
+    a_hat = normalized(random_graph(30, 0.2, seed=4))
+    a_hat.row_index_per_entry()
+    back = round_trip(a_hat)
+    assert type(back) is NormalizedAdjacency
+    for name in ("data", "indices", "indptr"):
+        arr = getattr(back, name)
+        assert not arr.flags.writeable
+        assert arr.dtype == getattr(a_hat, name).dtype
+        assert arr.tobytes() == getattr(a_hat, name).tobytes()
+    assert not back.row_index_per_entry().flags.writeable
+    assert back.row_index_per_entry().tobytes() == a_hat.row_index_per_entry().tobytes()
 
 
 def test_row_index_users_match_the_dense_graph():

@@ -13,7 +13,7 @@ from gssl.autodiff import Tensor
 from gssl.data import LabeledDataset, load_dataset, make_splits, row_normalize_features
 from gssl.diffusion import label_matrix
 from gssl.errors import InputError
-from gssl.graph import from_edge_list
+from gssl.graph import from_edge_list, within_hops
 from gssl.losses import LossConfig, combined_loss
 from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
@@ -432,7 +432,7 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     ctx, split, new_model, _ = ring_run("gcn", 3)
     model = new_model()
     field = ctx.field_of(split.train, model.hops)
-    rows, positions = field.field.rows, field.field.x_draws[1]
+    rows, positions = field.rows, field.x_draws[1]
     assert 0 < rows.size < ctx.labels.size
     masks, dropped_x = [], []
     dropout, sparse_dropout = ad.dropout, gssl.models._dropout
@@ -466,11 +466,11 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
 def test_only_the_training_field_computes_its_x_positions(monkeypatch):
     ctx, split, new_model, cfg = ring_run("gcn", 2)
     fields, field_of = [], DataContext.field_of
-    calls, row_entries = [], gssl.models.row_entries
+    calls, row_entries = [], gssl.trainer.row_entries
 
     def spy_field_of(c, rows, hops):
         out = field_of(c, rows, hops)
-        fields.append(out.field)
+        fields.append(out)
         return out
 
     def spy_row_entries(indptr, rows):
@@ -478,11 +478,39 @@ def test_only_the_training_field_computes_its_x_positions(monkeypatch):
         return row_entries(indptr, rows)
 
     monkeypatch.setattr(DataContext, "field_of", spy_field_of)
-    monkeypatch.setattr(gssl.models, "row_entries", spy_row_entries)
+    monkeypatch.setattr(gssl.trainer, "row_entries", spy_row_entries)
     report = train(new_model(), ctx, split, cfg)
     train_field, val_field = fields
     assert report.epochs_run > 1 and len(calls) == 1 and calls[0] is train_field.rows
     assert "x_draws" in vars(train_field) and "x_draws" not in vars(val_field)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
+def test_a_field_eval_pass_gives_the_whole_graph_rows_its_field_holds(kind):
+    ctx, split, new_model, _ = ring_run(kind, 2)
+    model = new_model()
+    field = ctx.field_of(split.train, model.hops)
+    n = ctx.labels.size
+    assert 0 < field.rows.size < n
+    logits = field.forward(model).values
+    assert logits.shape == (field.rows.size, 3)
+    # the rows no node outside the field is within hops of
+    inner = np.setdiff1d(field.rows, within_hops(ctx.a_hat, np.setdiff1d(np.arange(n), field.rows),
+                                                 model.hops))
+    assert np.isin(split.train, inner).all()
+    whole = ctx.forward(model).values
+    np.testing.assert_allclose(logits[field.at(inner)], whole[inner], rtol=1e-10,
+                               atol=1e-12 * np.abs(whole).max())
+
+
+def test_at_maps_node_ids_in_any_order_to_their_positions():
+    ctx, split, new_model, _ = ring_run("gcn", 2)
+    field = ctx.field_of(split.train, new_model().hops)
+    order = np.random.default_rng(25).permutation(field.rows.size)
+    nodes = field.rows[order]
+    assert field.at(nodes).tolist() == order.tolist()
+    assert field.labels[field.at(nodes)].tolist() == ctx.labels[nodes].tolist()
+    assert ctx.at(nodes).tolist() == nodes.tolist()
 
 
 def assert_matches_the_whole_graph(model, oracle, ctx, split, cfg):
@@ -510,7 +538,7 @@ def test_training_on_fields_matches_the_whole_graph(kind, n_layers):
     ctx, split, new_model, cfg = ring_run(kind, n_layers)
     model, oracle = new_model(), new_model()
     for readers in (split.train, np.union1d(split.val, split.test)):
-        assert ctx.field_of(readers, model.hops).field.rows.size < ctx.labels.size
+        assert ctx.field_of(readers, model.hops).rows.size < ctx.labels.size
     assert_matches_the_whole_graph(model, oracle, ctx, split, cfg)
 
 
@@ -539,7 +567,7 @@ def test_a_regularized_run_trains_on_every_node_and_validates_on_its_field(monke
     # test accuracy read the validation and test rows alone
     ctx, split, new_model, cfg = ring_run(kind, 2, mu=0.5)
     model, oracle = new_model(), new_model()
-    val_rows = ctx.field_of(np.union1d(split.val, split.test), model.hops).field.rows
+    val_rows = ctx.field_of(np.union1d(split.val, split.test), model.hops).rows
     assert val_rows.size < ctx.labels.size
     passes, forward = [], DataContext.forward
 
@@ -552,13 +580,13 @@ def test_a_regularized_run_trains_on_every_node_and_validates_on_its_field(monke
     run = passes[:2 * report.epochs_run]  # the oracle's passes follow
     assert [training for training, _ in run] == [True, False] * report.epochs_run
     assert all(c is ctx for training, c in run if training)
-    assert all(c.field.rows.tobytes() == val_rows.tobytes() for training, c in run if not training)
+    assert all(c.rows.tobytes() == val_rows.tobytes() for training, c in run if not training)
 
 
 def test_an_appnp_whose_propagation_reaches_every_node_computes_every_node(monkeypatch):
     ctx, split, new_model, _ = ring_run("appnp", 2)
     k = 1
-    while ctx.field_of(split.train, k).field is not None:
+    while ctx.field_of(split.train, k) is not ctx:
         k += 1
     assert_whole_graph_run(monkeypatch, "appnp", mu=0.0, appnp_k=k)
 
