@@ -15,8 +15,9 @@ factor), so an intermediate whose values no VJP reads is freed as soon as
 the caller drops its ``Tensor``.  ``backward`` walks the graph in reverse
 topological order, accumulates gradients into every ``requires_grad``
 leaf, and releases each node's parents and VJP once it has called it: a
-graph is differentiated once.  There is no global state: independent
-graphs can be built and differentiated concurrently.
+graph is differentiated once.  There is no global state, and every op is
+a function of its arguments (``dropout`` applies a mask its caller draws):
+independent graphs can be built and differentiated concurrently.
 
 All ops validate shapes (only row-vector bias addition may broadcast).
 Only a leaf's values are checked for NaN/Inf; an op's output is not
@@ -243,31 +244,21 @@ def sum(a: Tensor) -> Tensor:
     return _result(np.array([[a.values.sum()]]), (a,), lambda g: np.full(shape, g[0, 0]))
 
 
-def dropout(a: Tensor, rate: float, rng=None, rows=None) -> Tensor:
-    """Inverted dropout: surviving entries are scaled by 1/(1-rate).
+def dropout(a: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout with the boolean mask ``keep`` of ``a``'s shape: kept
+    entries are scaled by 1/(1-rate), the others become zero.
 
-    The caller applies it only when training.  With ``rate=0`` this is the
-    exact identity (the input tensor is returned unchanged).  ``rng`` may
-    be an int seed or a ``numpy.random.Generator``; a fixed seed gives a
-    fixed mask.  With ``rows`` = (m, index), ``a`` holds rows ``index`` of
-    an m-row input: the mask is drawn for all m rows and ``a`` keeps its
-    rows' draws, so the random stream and each row's mask are those of the
-    whole input.
+    The caller draws the mask (:mod:`gssl.models` draws every model's) and
+    applies it only when training.  With ``rate=0`` this is the exact
+    identity (the input tensor is returned unchanged).
     """
     _check_tensor(a, "dropout")
     if not 0.0 <= rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {rate}")
+    if getattr(keep, "dtype", None) != np.bool_ or keep.shape != a.shape:
+        raise InputError(f"dropout of a {a.shape} tensor needs a boolean array of its shape")
     if rate == 0.0:
         return a
-    if rng is None:
-        raise InputError("dropout needs a seed or Generator")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if rows is None:
-        keep = gen.random(a.shape) >= rate
-    else:
-        if len(rows[1]) != a.shape[0]:
-            raise InputError(f"dropout of {a.shape[0]} rows given {len(rows[1])} row indices")
-        keep = gen.random((rows[0], a.shape[1]))[rows[1]] >= rate
     factor = 1.0 / (1.0 - rate)
     # The VJP keeps the 1-byte mask, not the 8-byte multiplier: (g * keep) *
     # factor has the bits of g * (keep * factor), signed zeros included.

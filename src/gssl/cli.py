@@ -389,10 +389,13 @@ def _checkpoint_path(out_dir: Path, label: str, ell: int, n_layers: int) -> Path
 
 def _write_whole(path: Path, write) -> None:
     """``write(tmp)`` to ``path`` plus ``.tmp``, then rename it to ``path``:
-    ``path`` never holds a partial file."""
+    ``path`` never holds a partial file, and a failed write leaves none."""
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
@@ -483,11 +486,14 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
     # Checkpoints that predate recorded preprocessing were trained on normalized features.
     _, ctx = _load_context(dataset, load_preprocessing(ckpt).get("normalize_features", True))
     emb = hidden_embedding(model, ctx.x, ctx.a_hat).values
-    header = "node," + ",".join(f"dim{i}" for i in range(emb.shape[1]))
-    with open(out_path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(emb):
-            fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+    def write(path):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("node," + ",".join(f"dim{i}" for i in range(emb.shape[1])) + "\n")
+            for i, row in enumerate(emb):
+                fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+    _write_whole(Path(out_path), write)
     log(f"wrote {emb.shape[0]} x {emb.shape[1]} embedding to {out_path}")
 
 
@@ -573,7 +579,7 @@ def main(argv=None) -> int:
             ds = load_dataset(resolve_dataset_dir(args.dataset))
             splits = make_splits(ds, args.ell, args.n_splits, args.seed,
                                  val_size=args.val_size, test_size=args.test_size)
-            save_splits(splits, args.out)
+            _write_whole(Path(args.out), partial(save_splits, splits))
             print(f"wrote {len(splits)} splits to {args.out}")
             return 0
     except (GsslError, OSError) as err:  # an OSError: an input or output path

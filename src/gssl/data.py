@@ -83,9 +83,11 @@ class LabeledDataset:
     def __post_init__(self):
         if not isinstance(self.features, FeatureMatrix):
             object.__setattr__(self, "features", FeatureMatrix(self.features, dtype=np.float64))
+        labels = np.asarray(self.labels)
+        if not np.can_cast(labels.dtype, np.int64, "same_kind"):
+            raise InputError(f"labels must be integer class ids, got dtype {labels.dtype}")
         # its own copy, frozen below, so the caller's array stays writeable
-        labels = np.asarray(self.labels).astype(np.int64, casting="same_kind")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
         n = self.graph.n_nodes
         if self.features.shape[0] != n:
             raise InputError(

@@ -33,9 +33,7 @@ __all__ = [
     "add_self_loops",
     "sym_normalize",
     "degrees",
-    "row_entries",
     "within_hops",
-    "induced_block",
 ]
 
 
@@ -182,17 +180,6 @@ def sym_normalize(g_tilde: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency((data, g_tilde.indices, g_tilde.indptr), shape=g_tilde.shape)
 
 
-def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stored entries of ``rows`` of a CSR matrix with row offsets
-    ``indptr``: their positions in its arrays, row by row and in order
-    within each row, and the row offsets of the matrix of those rows alone."""
-    starts = indptr[rows]
-    offsets = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(indptr[rows + 1] - starts, out=offsets[1:])
-    positions = np.repeat(starts - offsets[:-1], np.diff(offsets)) + np.arange(offsets[-1])
-    return positions, offsets
-
-
 def within_hops(g: _FrozenCsr, rows: np.ndarray, hops: int) -> np.ndarray:
     """The nodes at most ``hops`` steps from ``rows`` along the stored
     entries of the symmetric ``g``, ascending."""
@@ -203,11 +190,3 @@ def within_hops(g: _FrozenCsr, rows: np.ndarray, hops: int) -> np.ndarray:
         near[g.indices[near[entry_rows]]] = True
     return np.flatnonzero(near)
 
-
-def induced_block(a_hat: NormalizedAdjacency, rows: np.ndarray) -> NormalizedAdjacency:
-    """Rows and columns ``rows`` (ascending, distinct) of ``a_hat``, values
-    unchanged.  Scipy's selections keep each row's stored entries in order, so
-    a row whose neighbours are all in ``rows`` sums as it does in ``a_hat``.
-    A principal block of ``a_hat``, it is symmetric with spectral radius <= 1
-    and keeps every self-loop."""
-    return a_hat[rows][:, rows]

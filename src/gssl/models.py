@@ -15,10 +15,11 @@ over its stored entries, which are the self-looped edge structure.
 The output has one row per row of X.  A row of the logits depends only
 on the nodes within :attr:`Model.hops` steps of it, so a pass over some
 rows of X and the block of A_hat on them gives the whole graph's logits
-at every row whose neighbourhood lies in those rows.  Dropout takes a
-``draws`` callable for such a pass: per layer, the whole input's draw
-count and the positions of the pass's draws in it, so the random stream
-and each row's mask do not depend on which rows a pass computes.
+at every row whose neighbourhood lies in those rows.  Every dropout mask
+is drawn here, by :func:`_keep`, from a training pass's Generator (the
+autodiff op only applies it); a ``draws`` callable gives per layer a pass's
+positions in the whole input's draws, so the random stream and each row's
+mask do not depend on which rows a pass computes.
 
 The input X is a dense Tensor or a scipy sparse matrix (the CSR features
 of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
@@ -135,18 +136,32 @@ def _linear(h, weight: Tensor) -> Tensor:
     return ad.spmm(h, weight) if sp.issparse(h) else ad.matmul(h, weight)
 
 
+def _keep(shape: tuple[int, int], rate: float, rng, rows=None) -> np.ndarray:
+    """The dropout mask of an input of ``shape``: where a uniform draw from
+    the Generator ``rng`` is >= ``rate``.  With ``rows`` = (m, index) the
+    input is rows ``index`` of an m-row input, which the draws are made for."""
+    if not isinstance(rng, np.random.Generator):
+        raise InputError(f"dropout needs a numpy.random.Generator, got {type(rng).__name__}")
+    if rows is None:
+        return rng.random(shape) >= rate
+    m, index = rows
+    if len(index) != shape[0]:
+        raise InputError(f"dropout of {shape[0]} rows given {len(index)} row indices")
+    return rng.random((m, shape[1]))[index] >= rate
+
+
 def _dropout(h, rate: float, rng, rows=None):
-    """Dropout of a layer input, ``ad.dropout``'s ``rows`` passed through.  A
-    sparse input draws once per stored value (``ad.dropout`` on an nnz x 1
-    column) and keeps only the entries that survive, as ``sparse_dropout``
-    (``tf.sparse_retain``) does in Kipf & Welling's reference GCN; at rate 0
-    it is returned as it is."""
-    if not sp.issparse(h):
-        return ad.dropout(h, rate, rng, rows)
+    """``ad.dropout`` of a layer input with a :func:`_keep` mask; at rate 0 the
+    input itself, with no draw.  A sparse input draws once per stored value
+    (``ad.dropout`` of an nnz x 1 column) and keeps only the entries that
+    survive, as ``sparse_dropout`` does in Kipf & Welling's reference GCN."""
     if rate == 0.0:
         return h
+    if not sp.issparse(h):
+        return ad.dropout(h, _keep(h.shape, rate, rng, rows), rate)
     h = h.tocsr()
-    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng, rows).values[:, 0]
+    values = Tensor(h.data[:, None])
+    dropped = ad.dropout(values, _keep(values.shape, rate, rng, rows), rate).values[:, 0]
     kept = np.flatnonzero(dropped != 0.0)
     indptr = np.searchsorted(kept, h.indptr).astype(h.indptr.dtype, copy=False)
     return sp.csr_matrix((dropped.take(kept), h.indices.take(kept), indptr), shape=h.shape)
@@ -208,8 +223,9 @@ class Model:
                 return_hidden=False, draws=None):
         """Logits (one row per row of ``x``, n_classes columns), and with
         ``return_hidden`` also the penultimate activations; every kind but
-        MLP needs ``a_hat``.  ``x`` is a Tensor or a scipy sparse matrix.
-        ``draws(layer)``, when given, is ``ad.dropout``'s ``rows`` for the
+        MLP needs ``a_hat``.  ``x`` is a Tensor or a scipy sparse matrix;
+        training draws dropout masks from the Generator ``rng``.
+        ``draws(layer)``, when given, is :func:`_keep`'s ``rows`` for the
         input of ``layer``: ``x`` and ``a_hat`` are then some rows of a
         larger graph and the block on them, and a row of the output equals
         the larger graph's when every node within :attr:`hops` steps of it

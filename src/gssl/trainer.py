@@ -1,29 +1,30 @@
 """Full-batch training: Adam with L2 weight decay, window early stopping,
 best-epoch restoration and the test accuracy of the best epoch.
 
-One call to :func:`train` owns its model and random state, so independent
-runs can execute concurrently in separate workers.  Each epoch is a
-training step and a validation pass; each builds its own computation graph
-and returns only floats and the validation logits, so the graph is freed
-when the phase returns.  Between epochs :func:`train` keeps the
+One call to :func:`train` owns its model and its dropout Generator, so
+independent runs can execute concurrently in separate workers.  Each epoch
+is a training step and a validation pass; each builds its own computation
+graph and returns only floats and the validation logits, so the graph is
+freed when the phase returns.  Between epochs :func:`train` keeps the
 parameters, the Adam moments, the history and the best epoch so far, with
 the logits of its validation pass, from which the test accuracy is read.
 Every run stops on its validation fit loss: the smoothness term is a
-training regularizer, so a validation pass scores the fit alone.  Each
-pass computes only its field (:meth:`DataContext.field_of`): the nodes
-within :attr:`Model.hops` steps of the rows it reads.  A training step
-reads the labeled rows, or every row once ``mu > 0`` adds the smoothness
-term; a validation pass reads the validation and test rows whatever
-``mu`` is.  The two field contexts are built once per run; a field that
-is every node is the whole-graph context itself.  A field's pass returns
-one row per field node, so the label matrices are built over the field's
-rows and the accuracies read it at :meth:`DataContext.at` positions; the
-values read are the whole graph's up to BLAS summation order.
-Autodiff ops do not check their outputs for NaN/Inf; instead each epoch
-checks the training loss and every parameter gradient after ``backward``
-and the validation loss after its pass.  The features stay in the dataset's CSR
-form (:class:`gssl.data.FeatureMatrix`): the first layer multiplies them
-through ``spmm``, and its dropout removes the dropped entries from the CSR.
+training regularizer, so a validation pass scores the fit alone.  Each pass
+computes only its field (:meth:`DataContext.field_of`): the nodes within
+:attr:`Model.hops` steps of the rows it reads.  A training step reads the
+labeled rows, or every row once ``mu > 0`` adds the smoothness term; a
+validation pass reads the validation and test rows whatever ``mu`` is.  The
+two field contexts are built once per run; a field that is every node is the
+whole-graph context itself, and a training field keeps its rows' share of
+the whole graph's dropout draws.  A field's pass returns one row per field
+node, so the label matrices are built over the field's rows and the
+accuracies read it at :meth:`DataContext.at` positions; the values read are
+the whole graph's up to BLAS summation order.  Autodiff ops do not check
+their outputs for NaN/Inf; instead each epoch checks the training loss and
+every parameter gradient after ``backward`` and the validation loss after
+its pass.  The features stay in the dataset's CSR form
+(:class:`gssl.data.FeatureMatrix`): the first layer multiplies them through
+``spmm``, and its dropout removes the dropped entries from the CSR.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import FeatureMatrix, LabeledDataset, Split
 from .diffusion import label_matrix
 from .errors import GsslError, InputError, NumericError
-from .graph import (NormalizedAdjacency, add_self_loops, induced_block, row_entries, sym_normalize,
-                    within_hops)
+from .graph import NormalizedAdjacency, add_self_loops, sym_normalize, within_hops
 from .losses import LossConfig, combined_loss
 from .models import Model
 
@@ -164,8 +165,9 @@ class DataContext:
         rows = within_hops(self.a_hat, np.asarray(rows, dtype=np.int64), hops)
         if rows.size == self.a_hat.n_nodes:
             return self
+        # scipy keeps each row's entries in order: an inner row sums as in A_hat
         return DataContext(self.x[rows], self.labels[rows], self.n_classes,
-                           induced_block(self.a_hat, rows), rows, self)
+                           self.a_hat[rows][:, rows], rows, self)
 
     def at(self, nodes) -> np.ndarray:
         """The positions of the node ids ``nodes``, all in this context,
@@ -176,12 +178,15 @@ class DataContext:
     @cached_property
     def x_draws(self) -> tuple[int, np.ndarray]:
         """X's draw count (a sparse X draws once per stored value) and the
-        field's positions among them, computed on the first dropout draw."""
-        return self.whole.x.nnz, row_entries(self.whole.x.indptr, self.rows)[0]
+        field's positions among them (its rows of X's entry numbers), computed
+        on the first dropout draw."""
+        x = self.whole.x
+        entries = sp.csr_matrix((np.arange(x.nnz), x.indices, x.indptr), shape=x.shape)
+        return x.nnz, entries[self.rows].data
 
     def draws(self, layer: int) -> tuple[int, np.ndarray] | None:
-        """``ad.dropout``'s ``rows`` for the input of ``layer``: a field keeps
-        its draws of the whole graph's, so masks do not depend on the field."""
+        """The dropout draws of the input of ``layer`` (``Model.forward``'s
+        ``draws``): a field keeps its draws of the whole graph's."""
         if self.rows is None:
             return None
         return self.x_draws if layer == 0 else (self.whole.a_hat.n_nodes, self.rows)

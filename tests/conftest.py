@@ -272,9 +272,13 @@ def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
 
 def explicit_zero_dropout(h, rate: float, rng, rows=None):
     """Oracle: sparse input dropout that keeps X's pattern and stores each
-    dropped value as an explicit zero, drawing as ``models._dropout`` does."""
+    dropped value as an explicit zero.  It draws one uniform of the Generator
+    ``rng`` per stored value, or with ``rows`` = (m, index) one per value of
+    an m-value input and keeps those at ``index``, and scales the values that
+    drew at least ``rate`` by 1/(1-rate)."""
     h = h.tocsr()
-    dropped = ad.dropout(Tensor(h.data[:, None]), rate, rng, rows).values[:, 0]
+    draws = rng.random(h.nnz) if rows is None else rng.random(rows[0])[rows[1]]
+    dropped = h.data * ((draws >= rate) * (1.0 / (1.0 - rate)))
     return scipy.sparse.csr_matrix((dropped, h.indices, h.indptr), shape=h.shape)
 
 

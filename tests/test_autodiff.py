@@ -74,15 +74,20 @@ def test_concat_cols_forward():
     assert out.values.tolist() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
 
 
+def mask(seed, shape, rate):
+    """A dropout mask: where a uniform draw of a seeded generator is >= ``rate``."""
+    return np.random.default_rng(seed).random(shape) >= rate
+
+
 def test_dropout_rate_zero_is_identity():
     x = leaf(np.ones((3, 3)))
-    assert ad.dropout(x, 0.0, rng=0) is x
+    assert ad.dropout(x, mask(0, (3, 3), 0.0), 0.0) is x
 
 
 def test_dropout_seed_determinism_and_scaling():
     x = leaf(np.ones((50, 50)))
-    a = ad.dropout(x, 0.4, rng=123).values
-    b = ad.dropout(x, 0.4, rng=123).values
+    a = ad.dropout(x, mask(123, (50, 50), 0.4), 0.4).values
+    b = ad.dropout(x, mask(123, (50, 50), 0.4), 0.4).values
     assert np.array_equal(a, b)
     surviving = a[a != 0]
     assert np.allclose(surviving, 1.0 / 0.6)
@@ -94,8 +99,8 @@ def test_dropout_vjp_has_the_bits_of_the_multiplier_form():
     g = rng.normal(size=(40, 30))
     g[::3] = 0.0
     g[1::3] *= -0.0  # signed zeros where the mask keeps and where it drops
-    out = ad.dropout(x, 0.3, rng=11)
-    keep = np.random.default_rng(11).random((40, 30)) >= 0.3
+    keep = mask(11, (40, 30), 0.3)
+    out = ad.dropout(x, keep, 0.3)
     assert 0 < keep.sum() < keep.size
     (grad,) = out._vjp(g)
     assert grad.tobytes() == (g * (keep * (1.0 / (1.0 - 0.3)))).tobytes()
@@ -104,10 +109,11 @@ def test_dropout_vjp_has_the_bits_of_the_multiplier_form():
 def test_dropout_node_keeps_a_one_byte_mask():
     n, d = 2000, 64
     x = leaf(np.ones((n, d)))
+    keep = mask(0, (n, d), 0.5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = ad.dropout(x, 0.5, rng=0)
+        out = ad.dropout(x, keep, 0.5)
         node = out._node
         del out  # the node keeps only what its VJP reads
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -118,21 +124,13 @@ def test_dropout_node_keeps_a_one_byte_mask():
     assert retained <= n * d + 4096, f"dropout node retains {retained} bytes"
 
 
-def test_dropout_of_some_rows_keeps_their_draws_of_the_whole_input():
-    x = leaf(np.random.default_rng(6).normal(size=(30, 4)))
-    idx = np.array([2, 3, 11, 29])
-    whole_rng, part_rng = np.random.default_rng(7), np.random.default_rng(7)
-    whole = ad.dropout(x, 0.5, whole_rng)
-    part = ad.dropout(leaf(x.values[idx]), 0.5, part_rng, rows=(30, idx))
-    assert part.values.tobytes() == whole.values[idx].tobytes()
-    assert whole_rng.bit_generator.state == part_rng.bit_generator.state
-    with pytest.raises(InputError):
-        ad.dropout(leaf(x.values[idx]), 0.5, 0, rows=(30, idx[:3]))
-
-
-def test_dropout_needs_rng_when_training():
-    with pytest.raises(InputError):
-        ad.dropout(leaf(np.ones((2, 2))), 0.5)
+@pytest.mark.parametrize("keep", [np.ones((2, 3), dtype=bool), np.ones((3, 2), dtype=bool),
+                                  np.ones((2, 2)), [[True, True], [True, True]]],
+                         ids=["rows", "cols", "float", "list"])
+def test_dropout_rejects_a_mask_that_is_not_a_boolean_array_of_its_shape(keep):
+    for rate in (0.0, 0.5):
+        with pytest.raises(InputError):
+            ad.dropout(leaf(np.ones((2, 2))), keep, rate)
 
 
 def test_spmm_identity_graph():
@@ -298,7 +296,7 @@ def fd_cases():
         "edge_softmax": (lambda x: ad.sum(ad.elementwise_mul(Tensor(alpha_like), ad.edge_softmax(x, g_sl))), (g_sl.nnz, 1), {}),
         "edge_aggregate_alpha": (lambda x: ad.sum(ad.elementwise_mul(const, ad.edge_aggregate(x, const, g_sl))), (g_sl.nnz, 1), {}),
         "edge_aggregate_h": (lambda x: ad.sum(ad.elementwise_mul(const, ad.edge_aggregate(Tensor(alpha_like), x, g_sl))), (5, 7), {}),
-        "dropout_fixed_seed": (lambda x: ad.sum(ad.dropout(x, 0.3, rng=9)), (5, 7), {}),
+        "dropout_fixed_seed": (lambda x: ad.sum(ad.dropout(x, mask(9, (5, 7), 0.3), 0.3)), (5, 7), {}),
     }
 
 

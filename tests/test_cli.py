@@ -1,9 +1,11 @@
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -420,6 +422,41 @@ def test_an_output_path_that_cannot_be_written_is_error_exit_2(tmp_path, capsys,
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["make-splits", "export-embeddings"])
+def test_an_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch, command):
+    data_dir, ds = write_blobs(tmp_path, n_per=16, seed=9)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4),
+                               ds.n_features, ds.n_classes, seed=0), ckpt)
+
+    def full_disk():
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def save_splits(splits, path):  # writes a part of the file, then fails
+        Path(path).write_text("[", encoding="ascii")
+        full_disk()
+
+    class Embedding:  # its rows fail after the first has been written
+        shape = (ds.n_nodes, 4)
+
+        def __iter__(self):
+            yield np.zeros(4)
+            full_disk()
+
+    monkeypatch.setattr(gssl.cli, "save_splits", save_splits)
+    embedding = SimpleNamespace(values=Embedding())
+    monkeypatch.setattr(gssl.cli, "hidden_embedding", lambda *_: embedding)
+    out = str(tmp_path / "out.txt")
+    argv = {"make-splits": ["make-splits", "--dataset", str(data_dir), "--ell", "3",
+                            "--val-size", "8", "--test-size", "8", "--out", out],
+            "export-embeddings": ["export-embeddings", "--checkpoint", str(ckpt),
+                                  "--dataset", str(data_dir), "--out", out]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -362,6 +362,13 @@ def test_a_dataset_freezes_its_own_copy_of_the_labels():
     assert built.labels[0] != labels[0]
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.5]), np.array(["a", "b", "b"])],
+                         ids=["float", "str"])
+def test_labels_that_are_not_integers_are_an_input_error_naming_the_dtype(labels):
+    with pytest.raises(InputError, match=str(labels.dtype)):
+        LabeledDataset(from_edge_list([(0, 1), (1, 2)], 3), np.eye(3), labels)
+
+
 def test_edge_ids_must_fit_node_count(tmp_path):
     d = write_toy_dir(tmp_path)
     (d / "graph.edges").write_text("0 1\n" * 1500 + "1 2\n3 4\n", encoding="ascii")

@@ -28,3 +28,10 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: from .{node.module} import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_the_autodiff_engine_draws_no_random_numbers():
+    # dropout masks are drawn in gssl.models; every autodiff op is a function
+    # of its arguments
+    source = Path(gssl.__file__).with_name("autodiff.py").read_text(encoding="utf-8")
+    assert [word for word in ("random", "default_rng", "Generator") if word in source] == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gssl.data import read_edge_list
 from gssl.errors import InputError
 from gssl.graph import (Graph, NormalizedAdjacency, add_self_loops, degrees, from_edge_list,
-                        induced_block, row_entries, sym_normalize, within_hops)
+                        sym_normalize, within_hops)
 from gssl.trainer import DataContext
 
 from conftest import dense, normalized, random_graph, random_pairs, two_blob_dataset
@@ -202,7 +202,7 @@ def test_graphs_are_csr_matrices_with_read_only_arrays_of_one_index_dtype():
     rows = np.arange(0, ds.n_nodes, 3)
     field = DataContext.from_dataset(ds).field_of(rows, 0)
     made = [(ds.graph, Graph), (g_sl, Graph), (a_hat, NormalizedAdjacency),
-            (induced_block(a_hat, rows), NormalizedAdjacency), (field.a_hat, NormalizedAdjacency)]
+            (field.a_hat, NormalizedAdjacency)]
     assert field.a_hat.n_nodes == rows.size
     for m, kind in made:
         assert isinstance(m, sp.csr_matrix) and type(m) is kind
@@ -231,10 +231,15 @@ def test_within_hops_is_the_reach_of_the_matrix_power(hops):
     assert np.array_equal(within_hops(a_hat, rows, hops), np.flatnonzero(reach))
 
 
-def test_induced_block_is_the_dense_block_with_each_row_in_order():
+def context_of(m):
+    """The context whose features and normalized adjacency are both ``m``."""
+    return DataContext(m, np.zeros(m.n_nodes, dtype=np.int64), 1, m)
+
+
+def test_a_field_a_hat_is_the_dense_block_with_each_row_in_order():
     a_hat = normalized(random_graph(60, 0.1, seed=7))
     rows = np.flatnonzero(np.random.default_rng(8).random(60) < 0.4)
-    block = induced_block(a_hat, rows)
+    block = context_of(a_hat).field_of(rows, 0).a_hat
     assert block.n_nodes == rows.size and block.has_all_self_loops
     assert dense(block).tobytes() == dense(a_hat)[np.ix_(rows, rows)].tobytes()
     for i, v in enumerate(rows):  # the entries of row v kept, in a_hat's order
@@ -246,9 +251,13 @@ def test_induced_block_is_the_dense_block_with_each_row_in_order():
                               a_hat.data[entries][kept])
 
 
-def test_row_entries_are_the_rows_of_the_csr():
+def test_x_draws_are_the_entry_positions_of_the_field_rows():
     m = normalized(random_graph(40, 0.2, seed=9))
-    rows = np.array([0, 5, 6, 39])
-    positions, indptr = row_entries(m.indptr, rows)
+    rows = np.array([0, 5, 6, 39])  # row 0 holds entry number 0: a stored zero is kept
+    field = context_of(m).field_of(rows, 0)
+    count, positions = field.x_draws
+    indptr = field.x.indptr
     sub = type(m)((m.data[positions], m.indices[positions], indptr), shape=(4, 40))
     assert (sub != m[rows]).nnz == 0 and np.array_equal(indptr, m[rows].indptr)
+    assert count == m.nnz and np.array_equal(
+        positions, np.concatenate([np.arange(m.indptr[v], m.indptr[v + 1]) for v in rows]))

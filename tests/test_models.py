@@ -208,7 +208,8 @@ def test_appnp_training_graph_does_not_grow_with_k():
     counts = []
     for k in (1, 10):
         cfg = ModelConfig(kind="appnp", n_layers=2, hidden_dim=8, appnp_k=k)
-        logits = Model(cfg, init_params(cfg, 5, 3, seed=16)).forward(x, a_hat, training=True, rng=0)
+        model = Model(cfg, init_params(cfg, 5, 3, seed=16))
+        logits = model.forward(x, a_hat, training=True, rng=np.random.default_rng(0))
         counts.append(len(ad._topo_order(ad.sum(logits)._vertex)))
     assert counts[0] == counts[1]
 
@@ -291,8 +292,46 @@ def test_dropout_only_in_training_and_before_hidden_layers():
     assert not np.array_equal(train_out.values, eval_out.values)
     # a single layer is the output layer, so training drops nothing
     single = Model.init(ModelConfig(kind="mlp", n_layers=1, dropout=0.5), 3, 2, seed=23)
-    assert np.array_equal(single.forward(x, training=True, rng=0).values,
+    assert np.array_equal(single.forward(x, training=True, rng=np.random.default_rng(0)).values,
                           single.forward(x).values)
+
+
+def test_dropout_needs_rng_when_training():
+    # an int seed once made a fresh generator per layer, so that layers of one
+    # shape drew one mask
+    model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4), 3, 2, seed=0)
+    for rng in (None, 0):
+        with pytest.raises(InputError, match="Generator"):
+            model.forward(Tensor(np.ones((5, 3))), training=True, rng=rng)
+
+
+def test_each_dropout_layer_draws_its_own_mask(monkeypatch):
+    model = Model.init(ModelConfig(kind="mlp", n_layers=3, hidden_dim=8, dropout=0.5), 8, 2,
+                       seed=0)
+    masks, dropout = [], ad.dropout
+
+    def spy(a, keep, rate):
+        masks.append(keep)
+        return dropout(a, keep, rate)
+
+    monkeypatch.setattr(ad, "dropout", spy)
+    model.forward(Tensor(np.random.default_rng(1).normal(size=(20, 8))), training=True,
+                  rng=np.random.default_rng(0))
+    assert [m.shape for m in masks] == [(20, 8), (20, 8)]
+    assert not np.array_equal(masks[0], masks[1])
+
+
+def test_dropout_of_some_rows_keeps_their_draws_of_the_whole_input():
+    x = Tensor(np.random.default_rng(6).normal(size=(30, 4)), requires_grad=True)
+    idx = np.array([2, 3, 11, 29])
+    whole_rng, part_rng = np.random.default_rng(7), np.random.default_rng(7)
+    whole = models._dropout(x, 0.5, whole_rng)
+    part = models._dropout(Tensor(x.values[idx], requires_grad=True), 0.5, part_rng, (30, idx))
+    assert part.values.tobytes() == whole.values[idx].tobytes()
+    assert whole_rng.bit_generator.state == part_rng.bit_generator.state
+    with pytest.raises(InputError):
+        models._dropout(Tensor(x.values[idx], requires_grad=True), 0.5,
+                        np.random.default_rng(0), (30, idx[:3]))
 
 
 def sparse_features(n=30, d=8, seed=12):
@@ -319,9 +358,9 @@ def spy_products(monkeypatch):
         left.append(mat)
         return spmm(mat, b)
 
-    def spy_dropout(a, rate, rng=None, rows=None):
+    def spy_dropout(a, keep, rate):
         dropout_shapes.append(a.shape)
-        return dropout(a, rate, rng, rows)
+        return dropout(a, keep, rate)
 
     monkeypatch.setattr(ad, "spmm", spy_spmm)
     monkeypatch.setattr(ad, "dropout", spy_dropout)
@@ -336,13 +375,14 @@ def test_sparse_input_dropout_acts_on_stored_values_only(monkeypatch):
 
     def dropped(seed):
         left.clear()
-        model.forward(x, training=True, rng=seed)
+        model.forward(x, training=True, rng=np.random.default_rng(seed))
         return left[0]
 
     first, again, other = dropped(0), dropped(0), dropped(1)
     assert dropout_shapes[0] == (x.nnz, 1)  # one draw per stored value
     for seed, m in ((0, first), (0, again), (1, other)):
-        oracle = explicit_zero_dropout(x, 0.4, seed).copy()  # the copy owns x's pattern
+        # the copy owns x's pattern
+        oracle = explicit_zero_dropout(x, 0.4, np.random.default_rng(seed)).copy()
         survivors = np.count_nonzero(oracle.data)
         assert 0 < survivors < x.nnz and m.nnz == survivors  # the dropped entries are gone
         oracle.eliminate_zeros()
@@ -363,7 +403,7 @@ def test_sparse_input_dropout_at_rate_zero_is_the_input(monkeypatch):
     model = Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4, dropout=0.0), 8, 3,
                        seed=13)
     left, dropout_shapes = spy_products(monkeypatch)
-    model.forward(x, training=True, rng=0)
+    model.forward(x, training=True, rng=np.random.default_rng(0))
     assert left[0] is x and dropout_shapes == []  # no draw and no copy
 
 
@@ -380,8 +420,8 @@ def test_products_with_dropped_entries_removed_are_byte_identical(seed):
     w[0, :3] = -0.0
     g = rng.normal(size=(300, 7)) * (rng.random((300, 7)) < 0.7)
     g[:5] *= -0.0
-    m = models._dropout(x, 0.5, seed)
-    oracle = explicit_zero_dropout(x, 0.5, seed)
+    m = models._dropout(x, 0.5, np.random.default_rng(seed))
+    oracle = explicit_zero_dropout(x, 0.5, np.random.default_rng(seed))
     assert m.nnz < oracle.nnz
     assert (m @ w).tobytes() == (oracle @ w).tobytes()
     assert (m.T @ g).tobytes() == (oracle.T @ g).tobytes()

@@ -1,6 +1,6 @@
-import copy
 import gc
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -437,9 +437,9 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     masks, dropped_x = [], []
     dropout, sparse_dropout = ad.dropout, gssl.models._dropout
 
-    def spy(a, rate, rng=None, rows=None):
-        masks.append(dropout(Tensor(np.ones(a.shape)), rate, copy.deepcopy(rng), rows).values)
-        return dropout(a, rate, rng, rows)
+    def spy(a, keep, rate):
+        masks.append(dropout(Tensor(np.ones(a.shape)), keep, rate).values)
+        return dropout(a, keep, rate)
 
     def spy_sparse(h, rate, rng, rows=None):
         out = sparse_dropout(h, rate, rng, rows)
@@ -466,19 +466,21 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
 def test_only_the_training_field_computes_its_x_positions(monkeypatch):
     ctx, split, new_model, cfg = ring_run("gcn", 2)
     fields, field_of = [], DataContext.field_of
-    calls, row_entries = [], gssl.trainer.row_entries
+    calls, x_draws = [], DataContext.x_draws.func
 
     def spy_field_of(c, rows, hops):
         out = field_of(c, rows, hops)
         fields.append(out)
         return out
 
-    def spy_row_entries(indptr, rows):
-        calls.append(rows)
-        return row_entries(indptr, rows)
+    def spy_x_draws(c):
+        calls.append(c.rows)
+        return x_draws(c)
 
+    spy = cached_property(spy_x_draws)
+    spy.__set_name__(DataContext, "x_draws")
     monkeypatch.setattr(DataContext, "field_of", spy_field_of)
-    monkeypatch.setattr(gssl.trainer, "row_entries", spy_row_entries)
+    monkeypatch.setattr(DataContext, "x_draws", spy)
     report = train(new_model(), ctx, split, cfg)
     train_field, val_field = fields
     assert report.epochs_run > 1 and len(calls) == 1 and calls[0] is train_field.rows
