@@ -338,7 +338,8 @@ def _read_runs(runs_dir: Path, spec_hash: str | None = None) -> dict[Path, dict]
             raise InputError(f"run record {path} is not valid JSON: {err}") from None
         if not isinstance(record, dict):
             raise InputError(f"run record {path} is not a JSON object")
-        keys = _RECORD_KEYS | (_OK_RECORD_KEYS if record.get("status", "ok") == "ok" else {})
+        keys = _RECORD_KEYS | {k: "str" for k in ("status", "spec_hash") if k in record}
+        keys |= _OK_RECORD_KEYS if record.get("status", "ok") == "ok" else {}
         missing = [k for k in keys if k not in record]
         if missing:
             raise InputError(f"run record {path} lacks {', '.join(missing)}")
@@ -485,6 +486,9 @@ def cmd_export_embeddings(checkpoint, dataset, out_path, log=print) -> None:
     model = load_checkpoint(ckpt)
     # Checkpoints that predate recorded preprocessing were trained on normalized features.
     _, ctx = _load_context(dataset, load_preprocessing(ckpt).get("normalize_features", True))
+    d_in, d = model.params[0].weight.shape[0], ctx.x.shape[1]
+    if d_in != d:
+        raise InputError(f"{ckpt}: the model takes {d_in} features, {dataset} has {d}")
     emb = hidden_embedding(model, ctx.x, ctx.a_hat).values
 
     def write(path):

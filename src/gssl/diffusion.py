@@ -46,8 +46,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise InputError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not self.tol > 0:  # written so that NaN fails too
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # written so that NaN fails too
+            raise InputError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
 
@@ -60,8 +60,8 @@ class DiffusionResult(NamedTuple):
 
 def gamma_from_mu(mu: float) -> float:
     """Trade-off conversion gamma = 1 / (mu + 1)."""
-    if mu < 0:
-        raise InputError("mu must be >= 0")
+    if not 0 <= mu < np.inf:
+        raise InputError(f"mu must be >= 0 and finite, got {mu}")
     return 1.0 / (mu + 1.0)
 
 

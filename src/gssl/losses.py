@@ -52,8 +52,8 @@ class LossConfig:
     variant: str = "cross_entropy"
 
     def __post_init__(self):
-        if not self.mu >= 0:  # written so that NaN fails too
-            raise InputError(f"mu must be >= 0, got {self.mu}")
+        if not 0 <= self.mu < np.inf:  # written so that NaN fails too
+            raise InputError(f"mu must be >= 0 and finite, got {self.mu}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown loss variant {self.variant!r}")
 

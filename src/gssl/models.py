@@ -17,9 +17,10 @@ on the nodes within :attr:`Model.hops` steps of it, so a pass over some
 rows of X and the block of A_hat on them gives the whole graph's logits
 at every row whose neighbourhood lies in those rows.  Every dropout mask
 is drawn here, by :func:`_keep`, from a training pass's Generator (the
-autodiff op only applies it); a ``draws`` callable gives per layer a pass's
-positions in the whole input's draws, so the random stream and each row's
-mask do not depend on which rows a pass computes.
+autodiff op only applies it), and always for the whole graph's input of a
+layer: a pass over some rows, given the whole X and those rows as its
+``field``, keeps their draws, so the random stream and each row's mask do
+not depend on which rows a pass computes.
 
 The input X is a dense Tensor or a scipy sparse matrix (the CSR features
 of :class:`gssl.trainer.DataContext`).  A sparse X enters the first layer
@@ -136,32 +137,36 @@ def _linear(h, weight: Tensor) -> Tensor:
     return ad.spmm(h, weight) if sp.issparse(h) else ad.matmul(h, weight)
 
 
-def _keep(shape: tuple[int, int], rate: float, rng, rows=None) -> np.ndarray:
-    """The dropout mask of an input of ``shape``: where a uniform draw from
-    the Generator ``rng`` is >= ``rate``.  With ``rows`` = (m, index) the
-    input is rows ``index`` of an m-row input, which the draws are made for."""
+def _keep(whole, rate: float, rng, rows=None) -> np.ndarray:
+    """The dropout mask of a layer input: where a uniform draw from the
+    Generator ``rng`` is >= ``rate``.  The draws are for the ``whole`` input, a
+    shape or a sparse X (one per stored value); with ``rows`` the input is
+    those rows of it and keeps their draws, in the order ``X[rows]`` stores them."""
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"dropout needs a numpy.random.Generator, got {type(rng).__name__}")
-    if rows is None:
-        return rng.random(shape) >= rate
-    m, index = rows
-    if len(index) != shape[0]:
-        raise InputError(f"dropout of {shape[0]} rows given {len(index)} row indices")
-    return rng.random((m, shape[1]))[index] >= rate
+    if not sp.issparse(whole):
+        u = rng.random(whole)
+        return (u if rows is None else u[rows]) >= rate
+    u = rng.random(whole.nnz)
+    if rows is not None:
+        u = sp.csr_matrix((u, whole.indices, whole.indptr), shape=whole.shape)[rows].data
+    return u[:, None] >= rate
 
 
-def _dropout(h, rate: float, rng, rows=None):
+def _dropout(h, rate: float, rng, field=None):
     """``ad.dropout`` of a layer input with a :func:`_keep` mask; at rate 0 the
-    input itself, with no draw.  A sparse input draws once per stored value
-    (``ad.dropout`` of an nnz x 1 column) and keeps only the entries that
-    survive, as ``sparse_dropout`` does in Kipf & Welling's reference GCN."""
+    input itself, with no draw; ``field`` is :meth:`Model.forward`'s.  A sparse
+    input draws once per stored value (``ad.dropout`` of an nnz x 1 column)
+    and keeps only the entries that survive, as ``sparse_dropout`` does in
+    Kipf & Welling's reference GCN."""
     if rate == 0.0:
         return h
+    h = h.tocsr() if sp.issparse(h) else h
+    x, rows = field or (h, None)
     if not sp.issparse(h):
-        return ad.dropout(h, _keep(h.shape, rate, rng, rows), rate)
-    h = h.tocsr()
+        return ad.dropout(h, _keep((x.shape[0], h.shape[1]), rate, rng, rows), rate)
     values = Tensor(h.data[:, None])
-    dropped = ad.dropout(values, _keep(values.shape, rate, rng, rows), rate).values[:, 0]
+    dropped = ad.dropout(values, _keep(x, rate, rng, rows), rate).values[:, 0]
     kept = np.flatnonzero(dropped != 0.0)
     indptr = np.searchsorted(kept, h.indptr).astype(h.indptr.dtype, copy=False)
     return sp.csr_matrix((dropped.take(kept), h.indices.take(kept), indptr), shape=h.shape)
@@ -220,16 +225,17 @@ class Model:
         return cls(cfg, init_params(cfg, d_in, n_classes, seed))
 
     def forward(self, x, a_hat: NormalizedAdjacency | None = None, training=False, rng=None,
-                return_hidden=False, draws=None):
+                return_hidden=False, field=None):
         """Logits (one row per row of ``x``, n_classes columns), and with
         ``return_hidden`` also the penultimate activations; every kind but
         MLP needs ``a_hat``.  ``x`` is a Tensor or a scipy sparse matrix;
         training draws dropout masks from the Generator ``rng``.
-        ``draws(layer)``, when given, is :func:`_keep`'s ``rows`` for the
-        input of ``layer``: ``x`` and ``a_hat`` are then some rows of a
-        larger graph and the block on them, and a row of the output equals
-        the larger graph's when every node within :attr:`hops` steps of it
-        is among those rows."""
+        ``field`` = (X, rows), when given, says that ``x`` and ``a_hat`` are
+        the rows ``rows`` (ascending node ids) of a larger graph's features
+        X and the block of its adjacency on them: each layer then keeps
+        those rows' dropout draws of the larger graph's, and a row of the
+        output equals the larger graph's when every node within
+        :attr:`hops` steps of it is among those rows."""
         cfg, layer = self.cfg, _LAYERS[self.cfg.kind]
         if a_hat is None and cfg.kind != "mlp":
             raise InputError(f"{cfg.kind} forward needs the normalized adjacency a_hat")
@@ -237,7 +243,7 @@ class Model:
         last = len(self.params) - 1
         for l, p in enumerate(self.params):
             if training and l < last:
-                h = _dropout(h, cfg.dropout, rng, None if draws is None else draws(l))
+                h = _dropout(h, cfg.dropout, rng, field)
             h = layer(h, p, a_hat, cfg)
             if l < last:
                 h = hidden = ad.relu(h)
@@ -331,8 +337,17 @@ def load_checkpoint(path) -> Model:
 
 
 def load_preprocessing(path) -> dict:
-    """The preprocessing recorded by :func:`save_checkpoint`, ``{}`` if none."""
+    """The preprocessing recorded by :func:`save_checkpoint`, ``{}`` if none.
+    An entry that is not a JSON object, or whose ``normalize_features`` is
+    not a bool, raises InputError."""
     with np.load(path) as data:
         if "preprocessing" not in data:
             return {}
-        return json.loads(bytes(data["preprocessing"]).decode())
+        try:
+            prep = json.loads(bytes(data["preprocessing"]).decode())
+        except ValueError:
+            prep = None
+    if not isinstance(prep, dict) or not isinstance(prep.get("normalize_features", True), bool):
+        raise InputError(f"{path}: preprocessing entry is not a JSON object "
+                         "with a bool normalize_features")
+    return prep

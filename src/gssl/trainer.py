@@ -15,11 +15,12 @@ computes only its field (:meth:`DataContext.field_of`): the nodes within
 labeled rows, or every row once ``mu > 0`` adds the smoothness term; a
 validation pass reads the validation and test rows whatever ``mu`` is.  The
 two field contexts are built once per run; a field that is every node is the
-whole-graph context itself, and a training field keeps its rows' share of
-the whole graph's dropout draws.  A field's pass returns one row per field
-node, so the label matrices are built over the field's rows and the
-accuracies read it at :meth:`DataContext.at` positions; the values read are
-the whole graph's up to BLAS summation order.  Autodiff ops do not check
+whole-graph context itself.  A field's pass hands :meth:`Model.forward` the
+whole X and its node ids, so the model draws the whole graph's dropout
+masks and keeps its rows'.  It returns one row per field node, so the
+label matrices are built over the field's rows and the accuracies read it
+at :meth:`DataContext.at` positions; the values read are the whole graph's
+up to BLAS summation order.  Autodiff ops do not check
 their outputs for NaN/Inf; instead each epoch checks the training loss and
 every parameter gradient after ``backward`` and the validation loss after
 its pass.  The features stay in the dataset's CSR form
@@ -30,10 +31,8 @@ its pass.  The features stay in the dataset's CSR form
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -73,10 +72,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:  # written so that NaN fails too
-            raise InputError("lr must be positive")
-        if not self.weight_decay >= 0:
-            raise InputError("weight_decay must be >= 0")
+        if not 0 < self.lr < np.inf:  # written so that NaN fails too
+            raise InputError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise InputError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
         if self.seed < 0:
@@ -175,25 +174,10 @@ class DataContext:
         nodes = np.asarray(nodes, dtype=np.int64)
         return nodes if self.rows is None else np.searchsorted(self.rows, nodes)
 
-    @cached_property
-    def x_draws(self) -> tuple[int, np.ndarray]:
-        """X's draw count (a sparse X draws once per stored value) and the
-        field's positions among them (its rows of X's entry numbers), computed
-        on the first dropout draw."""
-        x = self.whole.x
-        entries = sp.csr_matrix((np.arange(x.nnz), x.indices, x.indptr), shape=x.shape)
-        return x.nnz, entries[self.rows].data
-
-    def draws(self, layer: int) -> tuple[int, np.ndarray] | None:
-        """The dropout draws of the input of ``layer`` (``Model.forward``'s
-        ``draws``): a field keeps its draws of the whole graph's."""
-        if self.rows is None:
-            return None
-        return self.x_draws if layer == 0 else (self.whole.a_hat.n_nodes, self.rows)
-
     def forward(self, model: Model, training=False, rng=None, return_hidden=False):
         return model.forward(self.x, self.a_hat, training=training, rng=rng,
-                             return_hidden=return_hidden, draws=self.draws)
+                             return_hidden=return_hidden,
+                             field=None if self.rows is None else (self.whole.x, self.rows))
 
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, indices) -> float:

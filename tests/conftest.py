@@ -270,14 +270,24 @@ def one_shot_alpha_vjp(g: np.ndarray, h: np.ndarray, adj) -> np.ndarray:
     return np.einsum("ec,ec->e", g[adj.row_index_per_entry()], h[adj.indices])[:, None]
 
 
-def explicit_zero_dropout(h, rate: float, rng, rows=None):
+def entry_positions(x, rows) -> np.ndarray:
+    """Oracle: the positions of the stored entries of CSR ``x``'s rows
+    ``rows`` among all of its entries, row by row."""
+    return np.concatenate([np.arange(x.indptr[v], x.indptr[v + 1]) for v in rows])
+
+
+def explicit_zero_dropout(h, rate: float, rng, field=None):
     """Oracle: sparse input dropout that keeps X's pattern and stores each
     dropped value as an explicit zero.  It draws one uniform of the Generator
-    ``rng`` per stored value, or with ``rows`` = (m, index) one per value of
-    an m-value input and keeps those at ``index``, and scales the values that
-    drew at least ``rate`` by 1/(1-rate)."""
+    ``rng`` per stored value, or with ``field`` = (X, rows) one per stored
+    value of X and keeps those of ``rows``' entries, and scales the values
+    that drew at least ``rate`` by 1/(1-rate)."""
     h = h.tocsr()
-    draws = rng.random(h.nnz) if rows is None else rng.random(rows[0])[rows[1]]
+    if field is None:
+        draws = rng.random(h.nnz)
+    else:
+        x, rows = field
+        draws = rng.random(x.nnz)[entry_positions(x, rows)]
     dropped = h.data * ((draws >= rate) * (1.0 / (1.0 - rate)))
     return scipy.sparse.csr_matrix((dropped, h.indices, h.indptr), shape=h.shape)
 

@@ -387,8 +387,12 @@ def test_a_failed_rerun_leaves_no_earlier_output(tmp_path, capsys):
     (lambda r: dict(r, regularized="no"), "regularized must be bool, got 'no'"),
     (lambda r: dict(r, val_acc_best=[1]), "val_acc_best must be float, got [1]"),
     (lambda r: dict(r, n_layers=2.5), "n_layers must be int, got 2.5"),
+    (lambda r: dict(r, status=5), "status must be str, got 5"),
+    (lambda r: dict(r, status=None), "status must be str, got None"),
+    (lambda r: dict(r, spec_hash=["x"]), "spec_hash must be str, got ['x']"),
 ], ids=["list", "empty-object", "no-mu", "ok-without-val-acc", "null-test-acc", "str-mu",
-        "str-seed", "str-regularized", "list-val-acc", "float-n-layers"])
+        "str-seed", "str-regularized", "list-val-acc", "float-n-layers", "int-status",
+        "null-status", "list-spec-hash"])
 def test_a_run_record_that_is_not_one_is_input_error_exit_2(tmp_path, capsys, edit, named):
     data_dir, _ = write_blobs(tmp_path, n_per=16, seed=9)
     spec = tiny_spec(data_dir, tmp_path / "out", models=[ModelSpec("mlp", False)], n_splits=2)
@@ -489,12 +493,18 @@ def test_python_dash_m_gssl_runs_the_cli(tmp_path):
      "layer_counts must not be empty"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "lr": 0}', "lr must be positive"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "lr": NaN}', "lr must be positive"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "lr": Infinity}',
+     "lr must be positive and finite, got inf"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "weight_decay": -1}',
      "weight_decay must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "weight_decay": Infinity}',
+     "weight_decay must be >= 0 and finite, got inf"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "dropout": 1.5}', "dropout must be in [0, 1)"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "layer_counts": [0]}', "n_layers must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [-1]}', "mu must be >= 0"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [NaN]}', "mu must be >= 0"),
+    ('{"dataset": "d", "models": [{"kind": "mlp"}], "mu_grid": [0.1, Infinity]}',
+     "mu must be >= 0 and finite, got inf"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "val_size": 0}',
      "val_size and test_size must be >= 1"),
     ('{"dataset": "d", "models": [{"kind": "mlp"}], "test_size": 0}',
@@ -516,10 +526,11 @@ def test_python_dash_m_gssl_runs_the_cli(tmp_path):
 ], ids=["unknown-key", "missing-models", "unknown-model-key", "missing-kind",
         "model-not-object", "models-not-list", "spec-not-object", "wrong-type",
         "malformed-json", "ell-not-list", "bool-as-int", "int-as-bool", "empty-layer-counts",
-        "lr-zero", "lr-nan", "negative-weight-decay", "dropout-above-1", "zero-layers",
-        "negative-mu", "nan-mu", "val-size-zero", "test-size-zero", "ell-zero", "ell-negative",
-        "unknown-kind", "workers-zero", "base-seed-negative", "mu-alike-in-records",
-        "mu-repeated", "ell-repeated", "layer-counts-repeated", "model-repeated"])
+        "lr-zero", "lr-nan", "lr-infinite", "negative-weight-decay", "weight-decay-infinite",
+        "dropout-above-1", "zero-layers", "negative-mu", "nan-mu", "mu-infinite", "val-size-zero",
+        "test-size-zero", "ell-zero", "ell-negative", "unknown-kind", "workers-zero",
+        "base-seed-negative", "mu-alike-in-records", "mu-repeated", "ell-repeated",
+        "layer-counts-repeated", "model-repeated"])
 def test_bad_spec_file_is_input_error_exit_2(tmp_path, monkeypatch, capsys, text, named):
     def no_load(*args):
         raise AssertionError("a bad spec reached the dataset loader")
@@ -595,6 +606,21 @@ def checkpoint_of_a_narrower_layer(data_dir, ds, ckpt):
     return f"{ckpt}: entry bias_0 has shape (1, 3), its config gives (1, 4)"
 
 
+def checkpoint_of_another_width(data_dir, ds, ckpt):
+    save_checkpoint(Model.init(ModelConfig(kind="mlp", n_layers=2, hidden_dim=4),
+                               ds.n_features + 3, ds.n_classes, seed=0), ckpt)
+    return f"{ckpt}: the model takes {ds.n_features + 3} features, {data_dir} has {ds.n_features}"
+
+
+def checkpoint_with_preprocessing(text):
+    def corrupt(data_dir, ds, ckpt):
+        with np.load(ckpt) as data:
+            entries = {name: data[name] for name in data.files}
+        np.savez(ckpt, **entries, preprocessing=np.frombuffer(text.encode(), dtype=np.uint8))
+        return f"{ckpt}: preprocessing entry is not a JSON object with a bool normalize_features"
+    return corrupt
+
+
 def checkpoint_without(entry):
     def corrupt(data_dir, ds, ckpt):
         with np.load(ckpt) as data:
@@ -616,10 +642,16 @@ def checkpoint_without(entry):
     (checkpoint_without("config"), "export-embeddings"),
     (checkpoint_without("weight_1"), "export-embeddings"),
     (checkpoint_of_a_narrower_layer, "export-embeddings"),
+    (checkpoint_of_another_width, "export-embeddings"),
+    (checkpoint_with_preprocessing('{"normalize_features": '), "export-embeddings"),
+    (checkpoint_with_preprocessing("[true]"), "export-embeddings"),
+    (checkpoint_with_preprocessing('{"normalize_features": "no"}'), "export-embeddings"),
 ], ids=["nan-dense-feature", "inf-sparse-feature", "negative-sparse-dimension",
         "header-only-sparse-features", "non-ascii-label", "edge-beyond-the-nodes",
         "negative-label", "text-checkpoint",
-        "npz-without-config", "npz-without-last-weight", "npz-of-a-narrower-layer"])
+        "npz-without-config", "npz-without-last-weight", "npz-of-a-narrower-layer",
+        "npz-of-another-input-width", "preprocessing-not-json", "preprocessing-a-list",
+        "preprocessing-str-normalize"])
 def test_bad_input_file_is_input_error_exit_2(tmp_path, capsys, corrupt, command):
     data_dir, ds = write_blobs(tmp_path)
     ckpt = tmp_path / "model.npz"

@@ -28,8 +28,9 @@ def test_label_matrix_rejects_out_of_range_index():
 def test_gamma_from_mu():
     assert gamma_from_mu(0.0) == 1.0
     assert gamma_from_mu(1.0) == 0.5
-    with pytest.raises(InputError):
-        gamma_from_mu(-1.0)
+    for mu in (-1.0, float("nan"), float("inf")):  # inf once gave gamma 0.0
+        with pytest.raises(InputError, match="mu must be >= 0 and finite"):
+            gamma_from_mu(mu)
 
 
 def test_config_validation():
@@ -37,7 +38,7 @@ def test_config_validation():
         DiffusionConfig(gamma=0.0)
     with pytest.raises(InputError):
         DiffusionConfig(gamma=1.5)
-    for tol in (0.0, -1e-8, float("nan")):
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
         with pytest.raises(InputError, match="tol"):
             DiffusionConfig(gamma=0.5, tol=tol)
 

@@ -249,15 +249,3 @@ def test_a_field_a_hat_is_the_dense_block_with_each_row_in_order():
                               a_hat.indices[entries][kept])
         assert np.array_equal(block.data[block.indptr[i]:block.indptr[i + 1]],
                               a_hat.data[entries][kept])
-
-
-def test_x_draws_are_the_entry_positions_of_the_field_rows():
-    m = normalized(random_graph(40, 0.2, seed=9))
-    rows = np.array([0, 5, 6, 39])  # row 0 holds entry number 0: a stored zero is kept
-    field = context_of(m).field_of(rows, 0)
-    count, positions = field.x_draws
-    indptr = field.x.indptr
-    sub = type(m)((m.data[positions], m.indices[positions], indptr), shape=(4, 40))
-    assert (sub != m[rows]).nnz == 0 and np.array_equal(indptr, m[rows].indptr)
-    assert count == m.nnz and np.array_equal(
-        positions, np.concatenate([np.arange(m.indptr[v], m.indptr[v + 1]) for v in rows]))

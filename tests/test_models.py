@@ -12,7 +12,7 @@ from gssl.graph import NormalizedAdjacency, from_edge_list
 from gssl.models import (LayerParams, Model, ModelConfig, gat_attention, glorot_init,
                          hidden_embedding, init_params, load_checkpoint, save_checkpoint)
 
-from conftest import (concat_gat_attention, dense, explicit_zero_dropout,
+from conftest import (concat_gat_attention, dense, entry_positions, explicit_zero_dropout,
                       finite_difference_check, normalized, random_connected_graph, random_graph)
 
 FD_TOL = 1e-4
@@ -326,12 +326,24 @@ def test_dropout_of_some_rows_keeps_their_draws_of_the_whole_input():
     idx = np.array([2, 3, 11, 29])
     whole_rng, part_rng = np.random.default_rng(7), np.random.default_rng(7)
     whole = models._dropout(x, 0.5, whole_rng)
-    part = models._dropout(Tensor(x.values[idx], requires_grad=True), 0.5, part_rng, (30, idx))
+    part = models._dropout(Tensor(x.values[idx], requires_grad=True), 0.5, part_rng, (x, idx))
     assert part.values.tobytes() == whole.values[idx].tobytes()
     assert whole_rng.bit_generator.state == part_rng.bit_generator.state
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="boolean array of its shape"):  # ad.dropout's check
         models._dropout(Tensor(x.values[idx], requires_grad=True), 0.5,
-                        np.random.default_rng(0), (30, idx[:3]))
+                        np.random.default_rng(0), (x, idx[:3]))
+
+
+def test_a_field_sparse_x_mask_is_the_whole_x_mask_at_its_rows_entries():
+    x = sp.csr_matrix((np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),  # a stored zero in row 0
+                       np.array([0, 2, 1, 0, 3, 2, 3]), np.array([0, 2, 3, 3, 5, 7])), shape=(5, 4))
+    rows = np.array([0, 2, 4])  # row 2 is empty
+    whole_rng, part_rng = np.random.default_rng(3), np.random.default_rng(3)
+    whole = models._keep(x, 0.5, whole_rng)
+    part = models._keep(x, 0.5, part_rng, rows)
+    assert whole.shape == (7, 1) and 0 < whole.sum() < 7
+    assert part.tobytes() == whole[entry_positions(x, rows)].tobytes() and part.shape == (4, 1)
+    assert whole_rng.bit_generator.state == part_rng.bit_generator.state
 
 
 def sparse_features(n=30, d=8, seed=12):

@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from gssl.models import Model, ModelConfig
 from gssl.trainer import (AdamState, DataContext, TrainConfig, TrainingAbort, accuracy,
                           adam_step, train)
 
-from conftest import (evaluate, explicit_zero_dropout, ring_dataset, textbook_adam_step,
-                      two_blob_dataset, whole_graph_train, write_cora_shaped)
+from conftest import (entry_positions, evaluate, explicit_zero_dropout, ring_dataset,
+                      textbook_adam_step, two_blob_dataset, whole_graph_train, write_cora_shaped)
 
 
 def small_split(ds, ell=4, val=10, test=10, seed=0):
@@ -200,8 +199,8 @@ def test_step_with_dropped_entries_removed_matches_explicit_zeros(monkeypatch, k
 
     loss, params = step()
     dropout = gssl.models._dropout
-    monkeypatch.setattr(gssl.models, "_dropout", lambda h, rate, rng, rows=None: (
-        explicit_zero_dropout if sp.issparse(h) else dropout)(h, rate, rng, rows))
+    monkeypatch.setattr(gssl.models, "_dropout", lambda h, rate, rng, field=None: (
+        explicit_zero_dropout if sp.issparse(h) else dropout)(h, rate, rng, field))
     oracle_loss, oracle_params = step()
     assert loss == oracle_loss
     assert [p.tobytes() for p in params] == [p.tobytes() for p in oracle_params]
@@ -432,7 +431,7 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     ctx, split, new_model, _ = ring_run("gcn", 3)
     model = new_model()
     field = ctx.field_of(split.train, model.hops)
-    rows, positions = field.rows, field.x_draws[1]
+    rows, positions = field.rows, entry_positions(ctx.x, field.rows)
     assert 0 < rows.size < ctx.labels.size
     masks, dropped_x = [], []
     dropout, sparse_dropout = ad.dropout, gssl.models._dropout
@@ -441,8 +440,8 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
         masks.append(dropout(Tensor(np.ones(a.shape)), keep, rate).values)
         return dropout(a, keep, rate)
 
-    def spy_sparse(h, rate, rng, rows=None):
-        out = sparse_dropout(h, rate, rng, rows)
+    def spy_sparse(h, rate, rng, field=None):
+        out = sparse_dropout(h, rate, rng, field)
         if sp.issparse(out):
             dropped_x.append(out)
         return out
@@ -461,30 +460,6 @@ def test_a_field_pass_keeps_the_whole_graph_dropout_draws(monkeypatch):
     assert whole_hidden.shape == (ctx.labels.size, 8)
     assert whole_x_mask[positions].tobytes() == field_x_mask.tobytes()
     assert whole_hidden[rows].tobytes() == field_hidden.tobytes()
-
-
-def test_only_the_training_field_computes_its_x_positions(monkeypatch):
-    ctx, split, new_model, cfg = ring_run("gcn", 2)
-    fields, field_of = [], DataContext.field_of
-    calls, x_draws = [], DataContext.x_draws.func
-
-    def spy_field_of(c, rows, hops):
-        out = field_of(c, rows, hops)
-        fields.append(out)
-        return out
-
-    def spy_x_draws(c):
-        calls.append(c.rows)
-        return x_draws(c)
-
-    spy = cached_property(spy_x_draws)
-    spy.__set_name__(DataContext, "x_draws")
-    monkeypatch.setattr(DataContext, "field_of", spy_field_of)
-    monkeypatch.setattr(DataContext, "x_draws", spy)
-    report = train(new_model(), ctx, split, cfg)
-    train_field, val_field = fields
-    assert report.epochs_run > 1 and len(calls) == 1 and calls[0] is train_field.rows
-    assert "x_draws" in vars(train_field) and "x_draws" not in vars(val_field)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "gcn", "gat", "appnp"])
