@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import (TEST_SIZE, VAL_SIZE, LabeledDataset, load_dataset, make_splits,
                    row_normalize_features, save_splits)
-from .diffusion import DiffusionConfig, label_matrix, propagate_labels
+from .diffusion import DiffusionConfig, diffuse_iterative, label_matrix, predict_classes
 from .errors import GsslError, InputError
 from .losses import LossConfig
 from .models import (Model, ModelConfig, hidden_embedding, load_checkpoint, load_preprocessing,
@@ -458,7 +458,8 @@ def run_experiment(spec: ExperimentSpec, log=print) -> ResultsTable:
 
 def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
                   val_size: int = VAL_SIZE, test_size: int = TEST_SIZE, log=print) -> float:
-    """Label propagation on one split; returns and prints the accuracy.
+    """Label propagation on one split; returns and prints the accuracy, with
+    the iteration count and final residual of the diffusion.
 
     Accuracy is measured on the split's test set when it is non-empty,
     otherwise on all unlabeled nodes.
@@ -466,7 +467,8 @@ def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
     ds, ctx = _load_context(dataset, normalize_features=False)
     split = make_splits(ds, ell, 1, seed, val_size=val_size, test_size=test_size)[0]
     y = label_matrix(ds.labels, split.train, ds.n_classes)
-    pred = propagate_labels(ctx.a_hat, y, DiffusionConfig(gamma=gamma))
+    solve = diffuse_iterative(ctx.a_hat, y, DiffusionConfig(gamma=gamma))
+    pred = predict_classes(solve.z, y)
     if split.test.size:
         eval_idx, which = split.test, "test"
     else:
@@ -474,7 +476,8 @@ def cmd_propagate(dataset, ell: int, gamma: float, seed: int = 0,
         which = "unlabeled"
     acc = float(np.mean(pred[eval_idx] == ds.labels[eval_idx]))
     log(f"propagate {ds.name} ell={ell} gamma={gamma:g} seed={seed}: "
-        f"{which} accuracy {acc * 100.0:.2f}% (n={eval_idx.size})")
+        f"{which} accuracy {acc * 100.0:.2f}% (n={eval_idx.size}), "
+        f"{solve.iters} iterations, residual {solve.residual:.1e}")
     return acc
 
 

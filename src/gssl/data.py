@@ -17,11 +17,22 @@ calls, and every check of a line's content runs in that block: a node id
 beyond the label count, a negative class id, a feature index out of range
 or listed twice in its row, a non-finite feature value.  Only a block that
 fails is read again line by line, so every error names its file and line.
+A class id at or beyond the label count is named by its line once all
+labels are read.  An integer past int64, which ``np.fromstring`` reads as
+int64's largest value, is out of range and named by its own digits.
 Either feature format loads into a :class:`FeatureMatrix`, a canonical CSR
 matrix (each row's indices increasing) that stores only the nonzero (or
 explicitly listed) entries; the loader, the row normalization and the
 models never hold the dense n x d array.  ``labels.txt`` is read first:
 its line count is the node count the edge list is checked against.
+
+A sparse block is split at each word's one colon.  Its indices are
+accumulated from their digit bytes, one digit place for all words at a
+time, which also checks that every index byte is a digit; an index too
+large for the column type (int32 where ``d`` fits it, the type scipy
+keeps) stops at that type's largest value and so reads as out of range.
+Its values are read by one ``np.fromstring`` call on the block with the
+indices and colons blanked.
 
 A split takes ``ell`` labeled training nodes per class, then 500
 validation and 1000 test nodes sampled uniformly (in that order, so
@@ -156,6 +167,7 @@ class Split:
 
 
 _BLOCK_LINES = 1024  # lines per array parse: bounds the parser's transient arrays
+_INT64_MAX = np.iinfo(np.int64).max  # what np.fromstring reads any integer past int64 as
 _TEXT_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
@@ -196,8 +208,8 @@ def _words(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     """``text`` as uint8, the start and end offsets of its space- or
     tab-separated words, and the number of words on each line."""
     b = np.frombuffer(text, np.uint8)
-    in_word = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
-    bounds = np.flatnonzero(np.diff(in_word, prepend=False, append=False))
+    # _read_text leaves only tab, LF and printable ASCII, so a word byte is any above blank
+    bounds = np.flatnonzero(np.diff(b > ord(" "), prepend=False, append=False))
     return b, bounds[0::2], bounds[1::2], _line_counts(b, bounds[0::2])
 
 
@@ -218,20 +230,21 @@ def _numbers(text: bytes, n_words: int, dtype=np.int64, sep=" ") -> np.ndarray |
     return out if out.size == n_words else None
 
 
-def _edge_lines(text: bytes, n_nodes=np.inf) -> tuple[np.ndarray]:
+def _edge_lines(text: bytes, n_nodes=_INT64_MAX) -> tuple[np.ndarray]:
     """The node ids of whole lines of an edge list, in order; each below ``n_nodes``."""
     if b"#" in text:
         text = re.sub(rb"(?m)^[ \t]*#.*", b"", text)
-    _, starts, _, counts = _words(text)
+    _, starts, ends, counts = _words(text)
     ids = _numbers(text, starts.size)
     if np.any((counts != 0) & (counts != 2)):
         raise InputError(f"expected 'u v', got {text.strip().decode()!r}")
     if ids is None or np.any(ids < 0):
         raise InputError(f"{'non-integer' if ids is None else 'negative'} node id in "
                          f"{text.strip().decode()!r}")
-    beyond = ids[ids >= n_nodes]
-    if beyond.size:
-        raise InputError(f"node id {beyond[0]} out of range [0, {n_nodes})")
+    beyond = np.flatnonzero(ids >= n_nodes)
+    if beyond.size:  # named by its digits, which an id past int64 has lost in ids
+        k = beyond[0]
+        raise InputError(f"node id {int(text[starts[k]:ends[k]])} out of range [0, {n_nodes})")
     return ids,
 
 
@@ -262,25 +275,35 @@ def _sparse_dimension(path: Path, header: str) -> int:
 
 
 def _sparse_rows(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row lengths, column ids (increasing within each row) and values of whole
-    lines of ``idx:value`` pairs."""
+    """Row lengths, column ids (increasing within each row, int32 where ``d``
+    fits it) and values of whole lines of ``idx:value`` pairs."""
     b, starts, ends, counts = _words(text)
     at = np.flatnonzero(b == ord(":"))
-    flip = np.zeros(b.size + 1, bool)
-    flip[at + 1] = flip[ends] = True
-    value = np.logical_xor.accumulate(flip[:-1])  # the bytes after a word's colon
-    index = np.maximum(b * ~value, ord(" ")).tobytes().replace(b":", b" ")  # all else blank
     # each word: one colon, digits before it and something after it
-    if (at.size != starts.size or np.any(at <= starts) or np.any(at >= ends - 1)
-            or index.translate(None, b" 0123456789")):
+    if at.size != starts.size or np.any(at <= starts) or np.any(at >= ends - 1):
         raise InputError("expected space-separated idx:value pairs")
-    vals = _numbers(np.maximum(b * value, ord(" ")).tobytes(), starts.size, np.float64)
+    dtype = np.int32 if d <= np.iinfo(np.int32).max else np.int64
+    top = dtype(np.iinfo(dtype).max)
+    cols = np.zeros(starts.size, dtype)
+    values = b.copy()  # the block with each word's index and colon blanked
+    values[at] = ord(" ")
+    for k in range((at - starts).max(initial=0)):  # the k-th digit of each index, from the left
+        pos = np.minimum(starts + k, at)  # an index already read points at its colon
+        digit = b[pos] - np.uint8(ord("0"))  # the colon gives 10, any other non-digit more
+        if np.any(digit > 10):
+            raise InputError("expected space-separated idx:value pairs")
+        values[pos] = ord(" ")
+        grown = cols * 10 + digit
+        if k >= len(str(top)) - 1:  # each index is below 10**k: only now can one pass top
+            grown[cols > (top - digit) // 10] = top  # and stays there, past any d
+        np.copyto(cols, grown, where=digit < 10)
+    vals = _numbers(values.tobytes(), starts.size, np.float64)
     if vals is None:
         raise InputError("non-numeric feature value")
-    cols = _numbers(index, starts.size)
-    beyond = cols[cols >= d]
+    beyond = np.flatnonzero(cols >= d)
     if beyond.size:
-        raise InputError(f"feature index {beyond[0]} out of range")
+        k = beyond[0]
+        raise InputError(f"feature index {int(text[starts[k]:at[k]])} out of range")
     if not np.isfinite(vals).all():
         raise InputError("non-finite feature value")
     indptr = np.append(0, np.cumsum(counts))
@@ -344,7 +367,7 @@ def _parse_features(path: Path) -> FeatureMatrix:
 
 def _label_lines(text: bytes) -> tuple[np.ndarray]:
     """The class ids of whole lines of a label file."""
-    _, starts, _, counts = _words(text)
+    _, starts, ends, counts = _words(text)
     labels = _numbers(text, starts.size)
     if np.any(counts == 0):
         raise InputError("blank label line")
@@ -352,6 +375,10 @@ def _label_lines(text: bytes) -> tuple[np.ndarray]:
         raise InputError(f"non-integer class id {text.strip().decode()!r}")
     if np.any(labels < 0):
         raise InputError(f"negative class id {text.strip().decode()!r}")
+    beyond = np.flatnonzero(labels == _INT64_MAX)
+    if beyond.size:
+        k = beyond[0]
+        raise InputError(f"class id {int(text[starts[k]:ends[k]])} out of range")
     return labels,
 
 
@@ -362,8 +389,13 @@ def load_dataset(directory) -> LabeledDataset:
         if not (directory / fname).is_file():
             raise InputError(f"{directory}: missing {fname}")
     labels = _column(directory / "labels.txt", _label_lines)
-    features = _parse_features(directory / "features.csv")
     n = labels.shape[0]
+    beyond = np.flatnonzero(labels >= n)
+    if beyond.size:  # one class id per line
+        top = labels[beyond[0]]
+        raise InputError(f"{directory / 'labels.txt'}:{beyond[0] + 1}: class id {top} needs "
+                         f"{top + 1} classes, more than {n} nodes can hold")
+    features = _parse_features(directory / "features.csv")
     if features.shape[0] != n:
         raise InputError(
             f"{directory}: features.csv has {features.shape[0]} rows, labels.txt has {n}")
@@ -378,7 +410,8 @@ def row_normalize_features(ds: LabeledDataset) -> LabeledDataset:
     entries, and each entry is divided by its row's norm.
     """
     f = ds.features
-    rows = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+    # one row id per stored value, in f's index type: int64 ones would double these bytes
+    rows = np.repeat(np.arange(f.shape[0], dtype=f.indptr.dtype), np.diff(f.indptr))
     norms = np.bincount(rows, weights=np.abs(f.data), minlength=f.shape[0])[rows]
     scaled = np.divide(f.data, norms, out=f.data.copy(), where=norms > 0)
     features = FeatureMatrix((scaled, f.indices, f.indptr), shape=f.shape)

@@ -33,6 +33,7 @@ __all__ = [
     "diffuse_direct",
     "diffuse_iterative",
     "propagate_labels",
+    "predict_classes",
     "gamma_from_mu",
 ]
 
@@ -135,19 +136,23 @@ def diffuse_iterative(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> Di
 
 
 def propagate_labels(a_hat: NormalizedAdjacency, y, cfg: DiffusionConfig) -> np.ndarray:
-    """Predicted class per node: row-wise argmax of :func:`diffuse_iterative`'s output.
+    """Predicted class per node: :func:`predict_classes` of :func:`diffuse_iterative`'s output."""
+    return predict_classes(diffuse_iterative(a_hat, y, cfg).z, y)
+
+
+def predict_classes(z: np.ndarray, y) -> np.ndarray:
+    """Row-wise argmax of the diffused labels ``z`` of the label matrix ``y``.
 
     Labeled rows (rows of Y summing to 1) keep their given class.  A class
     column with no labeled node triggers a warning (its nodes can only be
     reached by ties).
     """
-    y = _check_inputs(a_hat, y)
+    y = np.asarray(y, dtype=np.float64)
     per_class = y.sum(axis=0)
     if np.any(per_class == 0):
         empty = np.flatnonzero(per_class == 0).tolist()
         warnings.warn(f"classes {empty} have no labeled nodes", RuntimeWarning, stacklevel=2)
-    pred = diffuse_iterative(a_hat, y, cfg).z.argmax(axis=1)
+    pred = z.argmax(axis=1)
     labeled_rows = y.sum(axis=1) > 0
     pred[labeled_rows] = y[labeled_rows].argmax(axis=1)
     return pred
-

@@ -15,6 +15,7 @@ from gssl.cli import (ExperimentSpec, ModelSpec, aggregate_runs, cmd_propagate,
                       cmd_export_embeddings, cmd_validate_dataset, main,
                       run_experiment)
 from gssl.data import LabeledDataset, load_dataset, load_splits
+from gssl.diffusion import DiffusionConfig
 from gssl.errors import InputError
 from gssl.models import Model, ModelConfig, hidden_embedding, load_checkpoint, save_checkpoint
 from gssl.trainer import DataContext
@@ -151,7 +152,9 @@ def test_propagate_barbell_is_perfect(tmp_path, capsys):
     d = write_barbell(tmp_path)
     acc = cmd_propagate(d, ell=1, gamma=0.2, seed=0, val_size=0, test_size=0)
     assert acc == 1.0
-    assert "100.00%" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    iters, residual = re.search(r"100\.00% \(n=\d+\), (\d+) iterations, residual (\S+)$", out).groups()
+    assert int(iters) > 1 and 0 <= float(residual) < DiffusionConfig(gamma=0.2).tol
 
 
 def test_propagate_gamma_one_degenerates_to_tie_breaks(tmp_path):

@@ -2,10 +2,13 @@ import builtins
 import io
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gssl.data
 from gssl.data import (FeatureMatrix, LabeledDataset, Split, load_dataset, load_splits,
@@ -67,6 +70,57 @@ def test_sparse_parse_matches_a_per_token_reference(tmp_path):
     assert np.array_equal(load_dataset(d).features.toarray(), reference_parse(path, 40))
 
 
+def sparse_word(col, value, zeros, form, plus):
+    """``col:value`` with ``zeros`` leading zeros on the index and the value
+    written in ``form`` (repr or a printf format), non-negative values with a
+    ``+`` when ``plus``."""
+    text = repr(value) if form == "repr" else form % value
+    return f"{col:0{zeros + len(str(col))}d}:" + ("+" if plus and text[0] != "-" else "") + text
+
+
+@st.composite
+def sparse_files(draw):
+    """A ``#sparse`` feature file: its text and dimension.  Rows list distinct
+    columns in any order, values in several forms and signs (every finite
+    double, subnormals and -0.0 among them), indices with leading zeros
+    (up to 25, past what int64 holds), words split by blank and tab runs
+    that may also lead and trail a row, empty rows and a line end of LF,
+    CRLF or CR, with or without one after the last row."""
+    d = draw(st.integers(1, 40))
+    seps = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cols = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=8))
+        words = [sparse_word(c, draw(st.floats(-1e308, 1e308)),  # finite in every form
+                             draw(st.sampled_from([0, 0, 0, 1, 3, 25])),
+                             draw(st.sampled_from(["repr", "%g", "%.17g", "%.3e"])),
+                             draw(st.booleans())) for c in cols]
+        rows.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            w + (draw(seps) if k + 1 < len(words) else "") for k, w in enumerate(words))
+            + draw(st.sampled_from(["", " ", "\t "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    last = end if draw(st.booleans()) or not rows[-1].strip() else ""
+    return f"#sparse d={d}" + end + end.join(rows) + last, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(file=sparse_files(), block_lines=st.integers(1, 5))
+def test_sparse_files_load_as_the_per_token_reference(tmp_path_factory, file, block_lines):
+    text, d = file
+    directory = tmp_path_factory.mktemp("sparse")
+    (directory / "features.csv").write_bytes(text.encode("ascii"))
+    expected = reference_parse(directory / "features.csv", d)
+    (directory / "labels.txt").write_text("0\n" * expected.shape[0], encoding="ascii")
+    (directory / "graph.edges").write_text("", encoding="ascii")
+    with mock.patch.object(gssl.data, "_BLOCK_LINES", block_lines):  # blocks split mid-file
+        features = load_dataset(directory).features
+    loaded = np.zeros(features.shape)  # toarray would add -0.0 to 0.0
+    loaded[np.repeat(np.arange(features.shape[0]), np.diff(features.indptr)),
+           features.indices] = features.data
+    assert loaded.tobytes() == expected.tobytes() and features.nnz == text.count(":")
+    assert features.has_canonical_format and features.indices.dtype == np.int32
+
+
 PUBMED_ROWS, PUBMED_PAIRS = 19717, 50  # Pubmed's node count and about its pairs per row
 
 
@@ -113,6 +167,7 @@ def pubmed_sized(tmp_path_factory):
 def test_pubmed_sized_sparse_file_matches_a_per_token_reference(pubmed_sized):
     directory, d, pairs, ds, _ = pubmed_sized
     expected = reference_parse(directory / "features.csv", d)
+    assert ds.features.indices.dtype == ds.features.indptr.dtype == np.int32
     assert ds.features.shape == expected.shape
     assert ds.features.toarray().tobytes() == expected.tobytes()
     assert ds.features.nnz == np.count_nonzero(expected)
@@ -284,6 +339,35 @@ def test_malformed_sparse_row_names_its_line(tmp_path, body, named):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("word, message", [
+    ("3:0x1p3", "non-numeric feature value"), ("3:1_0", "non-numeric feature value"),
+    ("3:1,5", "non-numeric feature value"), ("3:1.5.2", "non-numeric feature value"),
+    ("3:1e", "non-numeric feature value"), ("3:nan", "non-finite feature value"),
+    ("3:inf", "non-finite feature value"), ("3:1e400", "non-finite feature value"),
+    ("1::2", "expected space-separated idx:value pairs"),
+    (":5", "expected space-separated idx:value pairs"),
+    ("5:", "expected space-separated idx:value pairs"),
+    ("a:1", "expected space-separated idx:value pairs"),
+    ("2147483648:1", "feature index 2147483648 out of range"),
+])
+def test_a_rejected_sparse_word_names_its_line(tmp_path, word, message):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(f"#sparse d=5\n0:1\n1:1 {word} 4:2\n\n2:1\n",
+                                    encoding="ascii")
+    with pytest.raises(InputError, match=f"features.csv:3: {message}$"):
+        load_dataset(d)
+
+
+def test_a_dimension_past_int32_keeps_int64_column_ids(tmp_path):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(
+        "#sparse d=3000000000\n0:1\n2999999999:2 0002147483648:3\n\n1:1\n", encoding="ascii")
+    features = load_dataset(d).features
+    assert features.indices.dtype == np.int64
+    assert features.indices.tolist() == [0, 2147483648, 2999999999, 1]
+    assert features.data.tolist() == [1, 3, 2, 1]
+
+
 def test_dense_row_with_trailing_comma_names_its_line(tmp_path):
     d = write_toy_dir(tmp_path)
     (d / "features.csv").write_text("1,2,3\n1,2,\n0,0,0\n1,1,1\n", encoding="ascii")
@@ -373,6 +457,36 @@ def test_edge_ids_must_fit_node_count(tmp_path):
     d = write_toy_dir(tmp_path)
     (d / "graph.edges").write_text("0 1\n" * 1500 + "1 2\n3 4\n", encoding="ascii")
     with pytest.raises(InputError, match=r"graph.edges:1502: node id 4 out of range \[0, 4\)"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("name, body, named", [
+    ("graph.edges", "0 1\n-99999999999999999999 1\n",
+     r"graph.edges:2: node id -99999999999999999999 out of range \[0, 4\)"),
+    ("features.csv", "#sparse d=3\n0:1\n99999999999999999999:1\n\n0:1\n",
+     "features.csv:3: feature index 99999999999999999999 out of range"),
+    ("labels.txt", "0\n-99999999999999999999\n1\n0\n",
+     "labels.txt:2: class id -99999999999999999999 out of range"),
+], ids=["edges", "features", "labels"])
+def test_an_integer_past_int64_is_named_as_written(tmp_path, name, body, named):
+    # np.fromstring reads every one of them as 9223372036854775807
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / name).write_text(body, encoding="ascii")
+    with pytest.raises(InputError, match=f"{named}$"):
+        load_dataset(d)
+
+
+def test_read_edge_list_rejects_an_id_past_int64(tmp_path):
+    (tmp_path / "graph.edges").write_text("0 1\n1 99999999999999999999\n", encoding="ascii")
+    with pytest.raises(InputError, match="graph.edges:2: node id 99999999999999999999 out of"):
+        read_edge_list(tmp_path / "graph.edges")
+
+
+def test_a_class_id_beyond_the_label_count_names_its_line(tmp_path):
+    d = write_toy_dir(tmp_path)
+    (d / "labels.txt").write_text("0\n1\n5\n0\n", encoding="ascii")
+    with pytest.raises(InputError,
+                       match="labels.txt:3: class id 5 needs 6 classes, more than 4 nodes can hold$"):
         load_dataset(d)
 
 
