@@ -157,6 +157,23 @@ class Split:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Split":
+        """The split of a :meth:`to_dict` form; InputError names a missing or
+        malformed key.  Node ids are integers in [0, 2^63), and ``seed`` and
+        ``ell`` are integers (a bool or a float is neither)."""
+        if not isinstance(d, dict):
+            raise InputError(f"expected an object, got {type(d).__name__}")
+        for key in ("seed", "ell", "train", "val", "test"):
+            if key not in d:
+                raise InputError(f'no "{key}"')
+        for key in ("seed", "ell"):
+            if not _is_int(d[key]):
+                raise InputError(f'"{key}" is {d[key]!r}, not an integer')
+        for key in ("train", "val", "test"):
+            if not isinstance(d[key], list):
+                raise InputError(f'"{key}" is {type(d[key]).__name__}, not a list of node ids')
+            for i in d[key]:
+                if not (_is_int(i) and 0 <= i <= _INT64_MAX):
+                    raise InputError(f'"{key}" holds {i!r}, not a node id in [0, {_INT64_MAX}]')
         return cls(
             train=np.asarray(d["train"], dtype=np.int64),
             val=np.asarray(d["val"], dtype=np.int64),
@@ -164,6 +181,10 @@ class Split:
             seed=int(d["seed"]),
             ell=int(d["ell"]),
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _BLOCK_LINES = 1024  # lines per array parse: bounds the parser's transient arrays
@@ -464,5 +485,19 @@ def save_splits(splits: list[Split], path) -> None:
 
 
 def load_splits(path) -> list[Split]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [Split.from_dict(d) for d in json.load(fh)]
+    """The splits :func:`save_splits` wrote to ``path``.  Anything else is an
+    InputError naming the file and, for a malformed split, its index and key."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as err:  # a JSON syntax error or a non-ASCII byte
+        raise InputError(f"{path}: not a JSON splits file ({err})") from None
+    if not isinstance(doc, list):
+        raise InputError(f"{path}: expected a list of splits, got {type(doc).__name__}")
+    splits = []
+    for k, d in enumerate(doc):
+        try:
+            splits.append(Split.from_dict(d))
+        except InputError as err:
+            raise InputError(f"{path}: split {k}: {err}") from None
+    return splits

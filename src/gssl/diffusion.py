@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NumericError
 from .graph import NormalizedAdjacency
@@ -82,29 +81,57 @@ def _check_inputs(a_hat: NormalizedAdjacency, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != a_hat.n_nodes:
         raise InputError(f"label matrix shape {y.shape} incompatible with {a_hat.n_nodes} nodes")
+    if not np.isfinite(y).all():
+        raise InputError("label matrix holds NaN or infinite values")
     return y
+
+
+def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", u, v)
 
 
 def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     """Sparse SPD solve of (I - (1-gamma) A_hat) Z = gamma Y by conjugate
-    gradients, one column at a time, to relative residual 1e-12.
+    gradients, every column at once, to relative residual 1e-12.
+
+    Each column keeps its own step sizes and stops when its residual does,
+    within 10 n iterations; a zero column's solution is zero.
 
     Raises
     ------
     NumericError
         If conjugate gradients stop short of that residual.
     """
-    from scipy.sparse.linalg import cg  # 10 MB and ~90 ms to import; only this solve needs it
-
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    y = _check_inputs(a_hat, y)
-    system = sp.identity(a_hat.n_nodes, format="csr") - (1.0 - gamma) * a_hat
-    z = np.empty_like(y)
-    for k in range(y.shape[1]):
-        z[:, k], info = cg(system, gamma * y[:, k], rtol=1e-12, atol=0.0)
-        if info != 0:
-            raise NumericError(f"conjugate gradients did not converge on column {k} (info {info})")
+    b = gamma * _check_inputs(a_hat, y)
+    z = np.zeros_like(b)
+    bound = 1e-12 * np.linalg.norm(b, axis=0)
+    # x, r and p hold the columns still iterating, ``cols``, from Z = 0; as
+    # scipy's cg does, a column stops when its updated residual r is below bound
+    cols = np.flatnonzero(bound > 0)
+    r = b[:, cols]
+    x, p = np.zeros_like(r), r.copy()
+    rho = _column_dots(r, r)
+    max_iter = 10 * a_hat.n_nodes
+    for _ in range(max_iter):
+        if not cols.size:
+            break
+        q = p - (1.0 - gamma) * (a_hat @ p)
+        alpha = rho / _column_dots(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_next = _column_dots(r, r)
+        done = np.sqrt(rho_next) < bound[cols]
+        if done.any():
+            z[:, cols[done]] = x[:, done]
+            cols, x, r, p, rho, rho_next = (
+                a[..., ~done] for a in (cols, x, r, p, rho, rho_next))
+        p = r + (rho_next / rho) * p
+        rho = rho_next
+    if cols.size:
+        raise NumericError(f"conjugate gradients did not converge on column(s) {cols.tolist()} "
+                           f"in {max_iter} iterations")
     return z
 
 

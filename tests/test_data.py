@@ -560,6 +560,33 @@ def test_split_json_round_trip(tmp_path):
         assert s1.to_dict() == s2.to_dict()
 
 
+_SPLIT = '"seed": 0, "ell": 1, "val": [2], "test": [3]'
+
+
+@pytest.mark.parametrize("text, named", [
+    ('[{%s, "train": [9223372036854775808]}]' % _SPLIT, 'split 0: "train" holds 9223372036854775808'),
+    ('[{"seed": 0, "train": [1], "val": [2], "test": [3]}]', 'split 0: no "ell"'),
+    ('{"seed": 0}', "expected a list of splits, got dict"),
+    ('[{"seed": 0,', "not a JSON splits file"),
+    ('[{%s, "train": [-5]}]' % _SPLIT, 'split 0: "train" holds -5'),
+    ('[{%s, "train": [1.7]}]' % _SPLIT, 'split 0: "train" holds 1.7'),
+    ('[{%s, "train": [true]}]' % _SPLIT, 'split 0: "train" holds True'),
+    ('[{%s, "train": 1}]' % _SPLIT, 'split 0: "train" is int, not a list'),
+    ('[{%s, "train": [1]}, {%s, "train": [2]}]' % (_SPLIT, _SPLIT), "split 1: train/val/test sets overlap"),
+    ('[{"seed": 1.5, "ell": 1, "train": [1], "val": [2], "test": [3]}]', 'split 0: "seed" is 1.5'),
+    ('[{"seed": 0, "ell": "1", "train": [1], "val": [2], "test": [3]}]', "split 0: \"ell\" is '1'"),
+    ('[7]', "split 0: expected an object, got int"),
+], ids=["past-int64", "no-ell", "object", "bad-json", "negative", "float", "bool", "not-a-list",
+        "overlap", "float-seed", "string-ell", "not-an-object"])
+def test_load_splits_names_file_split_and_key(tmp_path, text, named):
+    path = tmp_path / "splits.json"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(InputError) as err:
+        load_splits(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert named in str(err.value)
+
+
 # ------------------------------------------------------------- normalize
 
 def test_row_normalize_examples():

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gssl
 from gssl.diffusion import (DiffusionConfig, diffuse_direct, diffuse_iterative,
                             gamma_from_mu, label_matrix, propagate_labels)
-from gssl.errors import InputError
-from gssl.graph import from_edge_list
+from gssl.errors import InputError, NumericError
+from gssl.graph import NormalizedAdjacency, from_edge_list
 
 from conftest import (barbell_graph, dense, dense_diffusion, forbid_densifying, minimize_objective,
                       normalized, random_connected_graph, random_graph)
@@ -87,6 +93,73 @@ def test_cg_solve_matches_dense_cholesky(gamma):
         y = label_matrix(np.arange(g.n_nodes) % 4, np.arange(0, g.n_nodes, 6))
         err = np.abs(diffuse_direct(a_hat, y, gamma) - dense_diffusion(a_hat, y, gamma)).max()
         assert err <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("c", [1, 3, 7])
+def test_block_cg_matches_dense_cholesky(c, gamma):
+    n = 80
+    a_hat = normalized(random_connected_graph(n, seed=c))
+    labels = np.arange(n) % c
+    y = label_matrix(labels, np.flatnonzero(labels != c - 1)[::5], n_classes=c)
+    assert not y[:, c - 1].any()  # a class with no labeled node
+    z = diffuse_direct(a_hat, y, gamma)
+    assert np.array_equal(z[:, c - 1], np.zeros(n))
+    assert np.abs(z - dense_diffusion(a_hat, y, gamma)).max() <= 1e-10
+
+
+def test_block_cg_matches_each_column_alone():
+    n = 300
+    a_hat = normalized(random_connected_graph(n, seed=8, extra_p=0.02))
+    # columns of different scale and sparsity converge at different iterations
+    y = label_matrix(np.arange(n) % 5, np.arange(0, n, 3)) * np.array([1.0, 1e-6, 3.0, 1e3, 0.5])
+    y[::11, 4] = 0.0
+    for gamma in (0.05, 0.4):
+        together = diffuse_direct(a_hat, y, gamma)
+        for k in range(y.shape[1]):
+            alone = diffuse_direct(a_hat, y[:, [k]], gamma)[:, 0]
+            assert np.linalg.norm(together[:, k] - alone) <= 1e-12 * np.linalg.norm(alone)
+
+
+def test_block_cg_names_the_columns_that_do_not_converge():
+    # random weights make the operator nonsymmetric, so CG does not converge
+    pattern = normalized(barbell_graph(5))
+    weights = 3.0 * np.random.default_rng(0).normal(size=pattern.nnz)
+    a_hat = NormalizedAdjacency((weights, pattern.indices, pattern.indptr), shape=pattern.shape)
+    y = label_matrix(np.array([0] * 5 + [1] * 5), [0, 9])
+    with pytest.raises(NumericError, match=r"column\(s\) \[0, 1\] in 100 iterations"):
+        diffuse_direct(a_hat, y, 0.5)
+
+
+def test_direct_solve_imports_no_sparse_linalg():
+    # a fresh process: other modules of a test session may import it
+    code = ("import sys, numpy as np\n"
+            "from gssl.graph import add_self_loops, from_edge_list, sym_normalize\n"
+            "from gssl.diffusion import diffuse_direct, label_matrix\n"
+            "a_hat = sym_normalize(add_self_loops(from_edge_list([(0, 1), (1, 2)], 3)))\n"
+            "diffuse_direct(a_hat, label_matrix(np.array([0, 1, 1]), [0, 2]), 0.5)\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gssl.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")
+
+
+NON_FINITE_SOLVES = {
+    "direct": lambda a_hat, y: diffuse_direct(a_hat, y, 0.3),
+    "iterative": lambda a_hat, y: diffuse_iterative(a_hat, y, DiffusionConfig(gamma=0.3)),
+    "propagate": lambda a_hat, y: propagate_labels(a_hat, y, DiffusionConfig(gamma=0.3)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", sorted(NON_FINITE_SOLVES))
+def test_non_finite_labels_rejected_before_solving(solver, bad):
+    a_hat = normalized(random_connected_graph(20, seed=9))
+    y = label_matrix(np.arange(20) % 2, [0, 1])
+    y[5, 1] = bad
+    with pytest.raises(InputError, match="NaN or infinite"):
+        NON_FINITE_SOLVES[solver](a_hat, y)
 
 
 def test_direct_solve_at_pubmed_size_never_densifies(monkeypatch):
