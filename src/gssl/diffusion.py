@@ -86,8 +86,8 @@ def _check_inputs(a_hat: NormalizedAdjacency, y: np.ndarray):
     return y
 
 
-def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", u, v)
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
 
 
 def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
@@ -104,30 +104,32 @@ def diffuse_direct(a_hat: NormalizedAdjacency, y, gamma: float) -> np.ndarray:
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    b = gamma * _check_inputs(a_hat, y)
-    z = np.zeros_like(b)
-    bound = 1e-12 * np.linalg.norm(b, axis=0)
+    y = _check_inputs(a_hat, y)
+    z = np.zeros_like(y)
+    # c x n: each label column is one contiguous row, so every step size
+    # scales and every dot product sums whole rows
+    b = gamma * y.T
+    bound = 1e-12 * np.linalg.norm(b, axis=1)
     # x, r and p hold the columns still iterating, ``cols``, from Z = 0; as
     # scipy's cg does, a column stops when its updated residual r is below bound
     cols = np.flatnonzero(bound > 0)
-    r = b[:, cols]
+    r = b[cols]
     x, p = np.zeros_like(r), r.copy()
-    rho = _column_dots(r, r)
+    rho = _row_dots(r, r)
     max_iter = 10 * a_hat.n_nodes
     for _ in range(max_iter):
         if not cols.size:
             break
-        q = p - (1.0 - gamma) * (a_hat @ p)
-        alpha = rho / _column_dots(p, q)
+        q = p - (1.0 - gamma) * (a_hat @ p.T).T
+        alpha = (rho / _row_dots(p, q))[:, None]
         x += alpha * p
         r -= alpha * q
-        rho_next = _column_dots(r, r)
+        rho_next = _row_dots(r, r)
         done = np.sqrt(rho_next) < bound[cols]
         if done.any():
-            z[:, cols[done]] = x[:, done]
-            cols, x, r, p, rho, rho_next = (
-                a[..., ~done] for a in (cols, x, r, p, rho, rho_next))
-        p = r + (rho_next / rho) * p
+            z[:, cols[done]] = x[done].T
+            cols, x, r, p, rho, rho_next = (a[~done] for a in (cols, x, r, p, rho, rho_next))
+        p = r + (rho_next / rho)[:, None] * p
         rho = rho_next
     if cols.size:
         raise NumericError(f"conjugate gradients did not converge on column(s) {cols.tolist()} "

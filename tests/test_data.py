@@ -72,29 +72,39 @@ def test_sparse_parse_matches_a_per_token_reference(tmp_path):
 
 def sparse_word(col, value, zeros, form, plus):
     """``col:value`` with ``zeros`` leading zeros on the index and the value
-    written in ``form`` (repr or a printf format), non-negative values with a
-    ``+`` when ``plus``."""
-    text = repr(value) if form == "repr" else form % value
+    written in ``form`` (repr or a printf format; a value given as text is
+    written as it is), non-negative values with a ``+`` when ``plus``."""
+    text = value if isinstance(value, str) else repr(value) if form == "repr" else form % value
     return f"{col:0{zeros + len(str(col))}d}:" + ("+" if plus and text[0] != "-" else "") + text
+
+
+# 1 to 15 digits with at most one point, anywhere among them: the values
+# the loader reads without np.fromstring
+plain_decimals = st.text("0123456789", min_size=1, max_size=15).flatmap(
+    lambda digits: st.sampled_from(
+        [digits] + [digits[:k] + "." + digits[k:] for k in range(len(digits) + 1)]))
 
 
 @st.composite
 def sparse_files(draw):
     """A ``#sparse`` feature file: its text and dimension.  Rows list distinct
     columns in any order, values in several forms and signs (every finite
-    double, subnormals and -0.0 among them), indices with leading zeros
-    (up to 25, past what int64 holds), words split by blank and tab runs
-    that may also lead and trail a row, empty rows and a line end of LF,
-    CRLF or CR, with or without one after the last row."""
+    double, subnormals and -0.0 among them; fixed-point ``%.kf`` forms with
+    k from 0 to 15), indices with leading zeros (up to 25, past what int64
+    holds), words split by blank and tab runs that may also lead and trail
+    a row, empty rows and a line end of LF, CRLF or CR, with or without one
+    after the last row.  In some files every value is a plain decimal."""
     d = draw(st.integers(1, 40))
+    plain = draw(st.booleans())
+    values = plain_decimals if plain else st.floats(-1e308, 1e308)  # finite in every form
+    forms = st.one_of(st.sampled_from(["repr", "%g", "%.17g", "%.3e"]),
+                      st.integers(0, 15).map("%.{}f".format))
     seps = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         cols = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=8))
-        words = [sparse_word(c, draw(st.floats(-1e308, 1e308)),  # finite in every form
-                             draw(st.sampled_from([0, 0, 0, 1, 3, 25])),
-                             draw(st.sampled_from(["repr", "%g", "%.17g", "%.3e"])),
-                             draw(st.booleans())) for c in cols]
+        words = [sparse_word(c, draw(values), draw(st.sampled_from([0, 0, 0, 1, 3, 25])),
+                             draw(forms), draw(st.booleans()) and not plain) for c in cols]
         rows.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(
             w + (draw(seps) if k + 1 < len(words) else "") for k, w in enumerate(words))
             + draw(st.sampled_from(["", " ", "\t "])))
@@ -356,6 +366,82 @@ def test_a_rejected_sparse_word_names_its_line(tmp_path, word, message):
                                     encoding="ascii")
     with pytest.raises(InputError, match=f"features.csv:3: {message}$"):
         load_dataset(d)
+
+
+@pytest.mark.parametrize("word", [
+    "0", ".5", "5.", "00.250", "123456789012345", "1234567890123456", "9007199254740993",
+    "0.123456789012345", "0.1234567890123456", "999999999999999", ".000000000000001",
+    "0.00000000000000000000001", "96.48064786969077",  # m > 2**53: m / 10**14 rounds twice
+])
+@pytest.mark.parametrize("neighbour", ["2:1", "2:1e0"], ids=["plain-block", "exponent-block"])
+def test_a_value_loads_with_the_bits_of_float(tmp_path, word, neighbour):
+    # the words of 1 to 15 digits are read from their digits, the others and
+    # every word of a block holding "1e0" by np.fromstring: all as float()
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(f"#sparse d=3\n0:{word}\n1:{word} {neighbour}\n\n0:1\n",
+                                    encoding="ascii")
+    data = load_dataset(d).features.data
+    assert data[:2].tobytes() == np.array([float(word)] * 2).tobytes()
+
+
+@pytest.mark.parametrize("word, message", [
+    ("1.5.5", "non-numeric"), (".", "non-numeric"), ("1e", "non-numeric"),
+    ("e1", "non-numeric"), ("0x1", "non-numeric"), ("1_0", "non-numeric"),
+    ("1,5", "non-numeric"), ("--1", "non-numeric"), ("0.1f", "non-numeric"),
+    ("inf", "non-finite"), ("nan", "non-finite"), ("infinity", "non-finite"),
+])
+@pytest.mark.parametrize("line", ["3:{}", "0:0.5 3:{} 4:.25", "3:1e0 4:{}"],
+                         ids=["alone", "between-plain-words", "after-an-exponent-word"])
+def test_a_value_that_is_not_a_number_names_its_line_in_a_block_of_plain_values(
+        tmp_path, word, message, line):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(
+        f"#sparse d=5\n0:0.5 2:1.25\n{line.format(word)}\n\n2:00.5\n", encoding="ascii")
+    with pytest.raises(InputError, match=f"features.csv:3: {message} feature value$"):
+        load_dataset(d)
+
+
+@pytest.fixture
+def float_parses(monkeypatch):
+    """The dtypes of the np.fromstring calls made while the test runs."""
+    dtypes, real = [], np.fromstring
+
+    def spy(text, dtype=float, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return real(text, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    return dtypes
+
+
+def test_a_block_of_plain_values_never_reaches_np_fromstring(tmp_path, float_parses):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text("#sparse d=3\n0:1.5\n1:2 2:.5\n\n0:00.10 1:7. 2:3\n",
+                                    encoding="ascii")
+    assert load_dataset(d).features.data.tolist() == [1.5, 2, 0.5, 0.1, 7, 3]
+    # the labels and the edges still reach it, as int64
+    assert float_parses and np.dtype(np.float64) not in float_parses
+
+
+def test_a_block_with_an_exponent_still_reaches_np_fromstring(tmp_path, float_parses):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text("#sparse d=3\n0:1.5\n1:2 2:5e-1\n\n0:00.10 1:7. 2:3\n",
+                                    encoding="ascii")
+    assert load_dataset(d).features.data.tolist() == [1.5, 2, 0.5, 0.1, 7, 3]
+    assert float_parses.count(np.dtype(np.float64)) == 1
+
+
+@pytest.mark.parametrize("dimension", [2 ** 63, 10 ** 20])
+def test_a_sparse_dimension_past_int64_names_the_header(tmp_path, dimension):
+    d = write_toy_dir(tmp_path, sparse=True)
+    (d / "features.csv").write_text(f"#sparse d={dimension}\n0:1\n1:1\n\n0:1\n",
+                                    encoding="ascii")
+    with pytest.raises(InputError, match=f"features.csv:1: sparse dimension must be "
+                                         f"<= {2 ** 63 - 1}, got {dimension}$"):
+        load_dataset(d)
+    (d / "features.csv").write_text(f"#sparse d={2 ** 63 - 1}\n0:1\n1:1\n\n0:1\n",
+                                    encoding="ascii")
+    assert load_dataset(d).features.shape == (4, 2 ** 63 - 1)
 
 
 def test_a_dimension_past_int32_keeps_int64_column_ids(tmp_path):
